@@ -4,10 +4,28 @@
 //! rowid encoding, value = row record) and indexes (key = memcomparable
 //! column encoding + rowid, value = empty). Values larger than
 //! [`MAX_LOCAL`] spill into overflow page chains, like SQLite's.
+//!
+//! Page layout (integers little-endian):
+//!
+//! * leaf: kind `1`, cell count `u16`, right sibling `u32`, then the
+//!   cells back to back in key order — key length `u16`, local value
+//!   length `u16`, overflow chain head `u32` (0 = none), key, local
+//!   value — and a zero tail;
+//! * interior: kind `2`, separator count `n: u16`, `n + 1` child page
+//!   numbers `u32`, `n` separators (length `u16`, bytes), a zero tail.
+//!
+//! Lookups, scans and the common leaf writes work on the cached page
+//! bytes in place, through [`Pager::page_ref`] and `Pager::page_mut`.
+//! Only overflow chains and splits decode a page into a `Node`. An
+//! in-place edit issues the same pager calls as the decode/encode path
+//! and leaves the same page bytes, so simulated cycles do not depend on
+//! which path ran. Every parser bounds-checks: hostile page bytes yield
+//! [`SqlError::Corrupt`], never a panic.
 
 use crate::error::{Result, SqlError};
 use crate::pager::{Pager, DB_PAGE};
 use cubicle_core::System;
+use std::cmp::Ordering;
 
 /// Maximum value bytes stored inside a leaf cell; longer values go to an
 /// overflow chain.
@@ -18,16 +36,234 @@ pub const MAX_KEY: usize = 512;
 
 const LEAF: u8 = 1;
 const INTERIOR: u8 = 2;
+const LEAF_HEADER: usize = 7;
+const CELL_HEADER: usize = 8;
+const INTERIOR_HEADER: usize = 3;
 const OVERFLOW_DATA: usize = DB_PAGE - 8;
+/// Fan-out is at least 2 and page numbers are 32-bit, so no valid tree
+/// is deeper; a deeper descent is a cycle of child pointers.
+const MAX_DEPTH: usize = 32;
 
-#[derive(Clone, Debug)]
+fn corrupt(what: &str) -> SqlError {
+    SqlError::Corrupt(what.into())
+}
+
+/// `page[pos..pos + len]`, or [`SqlError::Corrupt`] naming `what`.
+fn bytes<'a>(page: &'a [u8], pos: usize, len: usize, what: &str) -> Result<&'a [u8]> {
+    page.get(pos..pos + len).ok_or_else(|| corrupt(what))
+}
+
+fn read_u16(page: &[u8], pos: usize, what: &str) -> Result<usize> {
+    let b = bytes(page, pos, 2, what)?;
+    Ok(usize::from(u16::from_le_bytes([b[0], b[1]])))
+}
+
+fn read_u32(page: &[u8], pos: usize, what: &str) -> Result<u32> {
+    let b = bytes(page, pos, 4, what)?;
+    Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+}
+
+// ---------------------------------------------------------------------------
+// In-place page parsing
+// ---------------------------------------------------------------------------
+
+/// A leaf cell parsed in place; it occupies `pos..end` of its page.
+struct Cell<'a> {
+    pos: usize,
+    end: usize,
+    key: &'a [u8],
+    local: &'a [u8],
+    overflow: u32,
+}
+
+fn cell_at(page: &[u8], pos: usize) -> Result<Cell<'_>> {
+    let klen = read_u16(page, pos, "leaf cell header")?;
+    let vlen = read_u16(page, pos + 2, "leaf cell header")?;
+    let overflow = read_u32(page, pos + 4, "leaf cell header")?;
+    let key = bytes(page, pos + CELL_HEADER, klen, "leaf cell key")?;
+    let local = bytes(page, pos + CELL_HEADER + klen, vlen, "leaf cell value")?;
+    Ok(Cell {
+        pos,
+        end: pos + CELL_HEADER + klen + vlen,
+        key,
+        local,
+        overflow,
+    })
+}
+
+/// A leaf page's cell count and right sibling.
+fn leaf_header(page: &[u8]) -> Result<(usize, u32)> {
+    if page[0] != LEAF {
+        return Err(SqlError::Corrupt(format!(
+            "expected a btree leaf, found node kind {}",
+            page[0]
+        )));
+    }
+    Ok((
+        read_u16(page, 1, "leaf header")?,
+        read_u32(page, 3, "leaf header")?,
+    ))
+}
+
+/// A leaf page's cells in key order.
+fn cells(page: &[u8]) -> Result<impl Iterator<Item = Result<Cell<'_>>>> {
+    let (count, _) = leaf_header(page)?;
+    let mut pos = LEAF_HEADER;
+    Ok((0..count).map(move |_| {
+        let cell = cell_at(page, pos)?;
+        pos = cell.end;
+        Ok(cell)
+    }))
+}
+
+/// An interior page's separator count.
+fn interior_count(page: &[u8]) -> Result<usize> {
+    read_u16(page, 1, "interior header")
+}
+
+fn child_at(page: &[u8], idx: usize) -> Result<u32> {
+    read_u32(page, INTERIOR_HEADER + 4 * idx, "interior child")
+}
+
+/// An interior page's `count + 1` children.
+fn children(page: &[u8], count: usize) -> Result<Vec<u32>> {
+    (0..=count).map(|i| child_at(page, i)).collect()
+}
+
+/// An interior page's `count` separators, in order.
+fn separators(page: &[u8], count: usize) -> impl Iterator<Item = Result<&[u8]>> {
+    let mut pos = INTERIOR_HEADER + 4 * (count + 1);
+    (0..count).map(move |_| {
+        let len = read_u16(page, pos, "interior key")?;
+        let key = bytes(page, pos + 2, len, "interior key")?;
+        pos += 2 + len;
+        Ok(key)
+    })
+}
+
+/// Which child a descent through an interior page follows.
+#[derive(Clone, Copy)]
+enum Probe<'k> {
+    First,
+    /// The child whose range covers the key.
+    Key(&'k [u8]),
+    Last,
+}
+
+/// The index and page number of the child `probe` selects.
+fn child_index(page: &[u8], probe: Probe<'_>) -> Result<(usize, u32)> {
+    let count = interior_count(page)?;
+    let idx = match probe {
+        Probe::First => 0,
+        Probe::Last => count,
+        Probe::Key(key) => {
+            let mut idx = 0;
+            for sep in separators(page, count) {
+                if sep? > key {
+                    break;
+                }
+                idx += 1;
+            }
+            idx
+        }
+    };
+    Ok((idx, child_at(page, idx)?))
+}
+
+fn too_deep() -> SqlError {
+    corrupt("btree deeper than any valid tree (cyclic child pointers)")
+}
+
+/// Where a key sits in a leaf page.
+struct Spot {
+    /// Cells on the page.
+    count: usize,
+    /// Index of the first cell whose key is `>=` the probe.
+    idx: usize,
+    /// Byte range the edit replaces: that cell when its key equals the
+    /// probe, else the empty range where a new cell goes.
+    start: usize,
+    end: usize,
+    /// End of the cell area.
+    used: usize,
+    /// The probe key is present.
+    found: bool,
+    /// Overflow chain of the matching cell (0 when absent or inline).
+    overflow: u32,
+}
+
+impl Spot {
+    fn find(page: &[u8], key: &[u8]) -> Result<Spot> {
+        let (count, _) = leaf_header(page)?;
+        let mut hit = None;
+        let mut used = LEAF_HEADER;
+        for (idx, cell) in cells(page)?.enumerate() {
+            let cell = cell?;
+            if hit.is_none() && cell.key >= key {
+                hit = Some((idx, cell.pos, cell.key == key, cell.end, cell.overflow));
+            }
+            used = cell.end;
+        }
+        let (idx, start, found, end, overflow) = hit.unwrap_or((count, used, false, used, 0));
+        Ok(Spot {
+            count,
+            idx,
+            start,
+            end: if found { end } else { start },
+            used,
+            found,
+            overflow: if found { overflow } else { 0 },
+        })
+    }
+
+    /// End of the cell area once the edit puts a cell of `len` bytes
+    /// (0 = none) in place of `start..end`.
+    fn used_after(&self, len: usize) -> usize {
+        self.used - (self.end - self.start) + len
+    }
+
+    /// Edits the leaf in place: puts the inline cell `(key, value)` in
+    /// place of `start..end`, or removes the matching cell when `cell`
+    /// is `None`. The cells behind it move and the freed tail is zeroed,
+    /// so the page ends up exactly as [`Node::encode`] would lay it out.
+    fn splice(&self, page: &mut [u8], cell: Option<(&[u8], &[u8])>) {
+        let len = cell.map_or(0, |(k, v)| CELL_HEADER + k.len() + v.len());
+        let used = self.used_after(len);
+        page.copy_within(self.end..self.used, self.start + len);
+        if used < self.used {
+            page[used..self.used].fill(0);
+        }
+        if let Some((key, value)) = cell {
+            let c = &mut page[self.start..self.start + len];
+            c[..2].copy_from_slice(&(key.len() as u16).to_le_bytes());
+            c[2..4].copy_from_slice(&(value.len() as u16).to_le_bytes());
+            c[4..8].fill(0);
+            c[8..8 + key.len()].copy_from_slice(key);
+            c[8 + key.len()..].copy_from_slice(value);
+        }
+        let count = self.count + usize::from(cell.is_some()) - usize::from(self.found);
+        page[1..3].copy_from_slice(&(count as u16).to_le_bytes());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Decoded nodes (splits and overflow chains)
+// ---------------------------------------------------------------------------
+
+#[derive(Debug)]
 struct LeafCell {
     key: Vec<u8>,
     local: Vec<u8>,
     overflow: u32,
 }
 
-#[derive(Clone, Debug)]
+impl LeafCell {
+    fn size(&self) -> usize {
+        CELL_HEADER + self.key.len() + self.local.len()
+    }
+}
+
+#[derive(Debug)]
 enum Node {
     Leaf {
         next: u32,
@@ -43,13 +279,12 @@ impl Node {
     fn serialized_size(&self) -> usize {
         match self {
             Node::Leaf { cells, .. } => {
-                7 + cells
-                    .iter()
-                    .map(|c| 8 + c.key.len() + c.local.len())
-                    .sum::<usize>()
+                LEAF_HEADER + cells.iter().map(LeafCell::size).sum::<usize>()
             }
             Node::Interior { keys, children } => {
-                3 + children.len() * 4 + keys.iter().map(|k| 2 + k.len()).sum::<usize>()
+                INTERIOR_HEADER
+                    + children.len() * 4
+                    + keys.iter().map(|k| 2 + k.len()).sum::<usize>()
             }
         }
     }
@@ -61,12 +296,12 @@ impl Node {
                 out[0] = LEAF;
                 out[1..3].copy_from_slice(&(cells.len() as u16).to_le_bytes());
                 out[3..7].copy_from_slice(&next.to_le_bytes());
-                let mut pos = 7;
+                let mut pos = LEAF_HEADER;
                 for c in cells {
                     out[pos..pos + 2].copy_from_slice(&(c.key.len() as u16).to_le_bytes());
                     out[pos + 2..pos + 4].copy_from_slice(&(c.local.len() as u16).to_le_bytes());
                     out[pos + 4..pos + 8].copy_from_slice(&c.overflow.to_le_bytes());
-                    pos += 8;
+                    pos += CELL_HEADER;
                     out[pos..pos + c.key.len()].copy_from_slice(&c.key);
                     pos += c.key.len();
                     out[pos..pos + c.local.len()].copy_from_slice(&c.local);
@@ -76,7 +311,7 @@ impl Node {
             Node::Interior { keys, children } => {
                 out[0] = INTERIOR;
                 out[1..3].copy_from_slice(&(keys.len() as u16).to_le_bytes());
-                let mut pos = 3;
+                let mut pos = INTERIOR_HEADER;
                 for ch in children {
                     out[pos..pos + 4].copy_from_slice(&ch.to_le_bytes());
                     pos += 4;
@@ -92,80 +327,49 @@ impl Node {
         out
     }
 
-    fn decode(data: &[u8]) -> Result<Node> {
-        let kind = data[0];
-        let count = u16::from_le_bytes(data[1..3].try_into().expect("2")) as usize;
-        match kind {
-            LEAF => {
-                let next = u32::from_le_bytes(data[3..7].try_into().expect("4"));
-                let mut cells = Vec::with_capacity(count);
-                let mut pos = 7;
-                for _ in 0..count {
-                    let klen =
-                        u16::from_le_bytes(data[pos..pos + 2].try_into().expect("2")) as usize;
-                    let vlen =
-                        u16::from_le_bytes(data[pos + 2..pos + 4].try_into().expect("2")) as usize;
-                    let overflow =
-                        u32::from_le_bytes(data[pos + 4..pos + 8].try_into().expect("4"));
-                    pos += 8;
-                    let key = data
-                        .get(pos..pos + klen)
-                        .ok_or_else(|| SqlError::Corrupt("leaf cell key".into()))?
-                        .to_vec();
-                    pos += klen;
-                    let local = data
-                        .get(pos..pos + vlen)
-                        .ok_or_else(|| SqlError::Corrupt("leaf cell value".into()))?
-                        .to_vec();
-                    pos += vlen;
-                    cells.push(LeafCell {
-                        key,
-                        local,
-                        overflow,
-                    });
-                }
-                Ok(Node::Leaf { next, cells })
-            }
-            INTERIOR => {
-                let mut pos = 3;
-                let mut children = Vec::with_capacity(count + 1);
-                for _ in 0..=count {
-                    children.push(u32::from_le_bytes(
-                        data.get(pos..pos + 4)
-                            .ok_or_else(|| SqlError::Corrupt("interior child".into()))?
-                            .try_into()
-                            .expect("4"),
-                    ));
-                    pos += 4;
-                }
-                let mut keys = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let klen =
-                        u16::from_le_bytes(data[pos..pos + 2].try_into().expect("2")) as usize;
-                    pos += 2;
-                    keys.push(
-                        data.get(pos..pos + klen)
-                            .ok_or_else(|| SqlError::Corrupt("interior key".into()))?
-                            .to_vec(),
-                    );
-                    pos += klen;
-                }
-                Ok(Node::Interior { keys, children })
-            }
-            other => Err(SqlError::Corrupt(format!(
-                "unknown btree node kind {other}"
-            ))),
+    fn decode(page: &[u8]) -> Result<Node> {
+        if page[0] == INTERIOR {
+            let count = interior_count(page)?;
+            return Ok(Node::Interior {
+                children: children(page, count)?,
+                keys: separators(page, count)
+                    .map(|k| k.map(<[u8]>::to_vec))
+                    .collect::<Result<_>>()?,
+            });
         }
+        let (_, next) = leaf_header(page)?;
+        let cells = cells(page)?
+            .map(|c| {
+                c.map(|c| LeafCell {
+                    key: c.key.to_vec(),
+                    local: c.local.to_vec(),
+                    overflow: c.overflow,
+                })
+            })
+            .collect::<Result<_>>()?;
+        Ok(Node::Leaf { next, cells })
     }
 }
 
-fn read_node(sys: &mut System, pager: &mut Pager, pno: u32) -> Result<Node> {
-    let data = pager.page_ref(sys, pno)?;
-    Node::decode(data)
+fn write_node(sys: &mut System, pager: &mut Pager, pno: u32, node: &Node) -> Result<()> {
+    // Only a node decoded from hostile bytes can outgrow a page here.
+    if node.serialized_size() > DB_PAGE {
+        return Err(corrupt("btree node does not fit in a page"));
+    }
+    pager.write_page(sys, pno, &node.encode())
 }
 
-fn write_node(sys: &mut System, pager: &mut Pager, pno: u32, node: &Node) -> Result<()> {
-    pager.write_page(sys, pno, &node.encode())
+/// Where an overfull leaf splits: halfway by cell count, unless a half
+/// would still not fit in a page (a few maximal cells behind many small
+/// ones); then at the first cell boundary whose right half fits.
+fn leaf_split_point(cells: &[LeafCell]) -> usize {
+    let fits =
+        |half: &[LeafCell]| LEAF_HEADER + half.iter().map(LeafCell::size).sum::<usize>() <= DB_PAGE;
+    let mid = cells.len() / 2;
+    if fits(&cells[..mid]) && fits(&cells[mid..]) {
+        return mid;
+    }
+    (1..cells.len()).find(|&m| fits(&cells[m..])).unwrap_or(mid)
 }
 
 /// Creates an empty tree, returning its root page.
@@ -175,15 +379,8 @@ fn write_node(sys: &mut System, pager: &mut Pager, pno: u32, node: &Node) -> Res
 /// Pager errors (must run inside a transaction).
 pub fn create(sys: &mut System, pager: &mut Pager) -> Result<u32> {
     let root = pager.allocate_page(sys)?;
-    write_node(
-        sys,
-        pager,
-        root,
-        &Node::Leaf {
-            next: 0,
-            cells: Vec::new(),
-        },
-    )?;
+    // An empty leaf is a zeroed page (which allocation yields) of kind LEAF.
+    pager.page_mut(sys, root)?[0] = LEAF;
     Ok(root)
 }
 
@@ -196,14 +393,14 @@ fn write_overflow(sys: &mut System, pager: &mut Pager, data: &[u8]) -> Result<u3
     let mut prev = 0u32;
     for chunk in data.chunks(OVERFLOW_DATA) {
         let pno = pager.allocate_page(sys)?;
-        let mut page = vec![0u8; DB_PAGE];
+        // Allocation leaves the page cached and zeroed.
+        let page = pager.page_mut(sys, pno)?;
         page[4..6].copy_from_slice(&(chunk.len() as u16).to_le_bytes());
         page[8..8 + chunk.len()].copy_from_slice(chunk);
-        pager.write_page(sys, pno, &page)?;
         if prev != 0 {
-            let mut prev_page = pager.read_page(sys, prev)?;
-            prev_page[..4].copy_from_slice(&pno.to_le_bytes());
-            pager.write_page(sys, prev, &prev_page)?;
+            // Read, then write: the pager calls of a read-modify-write.
+            pager.page_ref(sys, prev)?;
+            pager.page_mut(sys, prev)?[..4].copy_from_slice(&pno.to_le_bytes());
         } else {
             first = pno;
         }
@@ -212,24 +409,34 @@ fn write_overflow(sys: &mut System, pager: &mut Pager, data: &[u8]) -> Result<u3
     Ok(first)
 }
 
+/// Counts one more page of a chain; a chain longer than the database
+/// is cyclic.
+fn hop(pager: &Pager, hops: &mut u32, what: &str) -> Result<()> {
+    *hops += 1;
+    if *hops > pager.page_count() {
+        return Err(SqlError::Corrupt(format!("cyclic {what}")));
+    }
+    Ok(())
+}
+
 fn read_overflow(sys: &mut System, pager: &mut Pager, mut pno: u32) -> Result<Vec<u8>> {
     let mut out = Vec::new();
+    let mut hops = 0;
     while pno != 0 {
+        hop(pager, &mut hops, "overflow chain")?;
         let page = pager.page_ref(sys, pno)?;
-        let next = u32::from_le_bytes(page[..4].try_into().expect("4"));
-        let len = u16::from_le_bytes(page[4..6].try_into().expect("2")) as usize;
-        out.extend_from_slice(&page[8..8 + len]);
-        pno = next;
+        let len = read_u16(page, 4, "overflow header")?;
+        out.extend_from_slice(bytes(page, 8, len, "overflow data")?);
+        pno = read_u32(page, 0, "overflow header")?;
     }
     Ok(out)
 }
 
 fn free_overflow(sys: &mut System, pager: &mut Pager, mut pno: u32) -> Result<()> {
+    let mut hops = 0;
     while pno != 0 {
-        let next = {
-            let page = pager.page_ref(sys, pno)?;
-            u32::from_le_bytes(page[..4].try_into().expect("4"))
-        };
+        hop(pager, &mut hops, "overflow chain")?;
+        let next = read_u32(pager.page_ref(sys, pno)?, 0, "overflow header")?;
         pager.free_page(sys, pno)?;
         pno = next;
     }
@@ -259,14 +466,6 @@ fn make_cell(sys: &mut System, pager: &mut Pager, key: &[u8], value: &[u8]) -> R
     }
 }
 
-fn cell_value(sys: &mut System, pager: &mut Pager, cell: &LeafCell) -> Result<Vec<u8>> {
-    if cell.overflow != 0 {
-        read_overflow(sys, pager, cell.overflow)
-    } else {
-        Ok(cell.local.clone())
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Insert / get / delete
 // ---------------------------------------------------------------------------
@@ -283,7 +482,7 @@ pub fn insert(
     key: &[u8],
     value: &[u8],
 ) -> Result<u32> {
-    match insert_rec(sys, pager, root, key, value)? {
+    match insert_rec(sys, pager, root, key, value, 0)? {
         None => Ok(root),
         Some((sep, right)) => {
             let new_root = pager.allocate_page(sys)?;
@@ -307,96 +506,113 @@ fn insert_rec(
     pno: u32,
     key: &[u8],
     value: &[u8],
+    depth: usize,
 ) -> Result<Option<(Vec<u8>, u32)>> {
-    let node = read_node(sys, pager, pno)?;
-    match node {
-        Node::Leaf { next, mut cells } => {
-            let idx = cells.partition_point(|c| c.key.as_slice() < key);
-            if idx < cells.len() && cells[idx].key == key {
-                // replace
-                if cells[idx].overflow != 0 {
-                    free_overflow(sys, pager, cells[idx].overflow)?;
-                }
-                cells[idx] = make_cell(sys, pager, key, value)?;
-            } else {
-                let cell = make_cell(sys, pager, key, value)?;
-                cells.insert(idx, cell);
-            }
-            let node = Node::Leaf { next, cells };
-            if node.serialized_size() <= DB_PAGE {
-                write_node(sys, pager, pno, &node)?;
-                return Ok(None);
-            }
-            // split
-            let Node::Leaf { next, mut cells } = node else {
-                unreachable!()
-            };
-            let mid = cells.len() / 2;
-            let right_cells = cells.split_off(mid);
-            let sep = right_cells[0].key.clone();
-            let right_pno = pager.allocate_page(sys)?;
-            write_node(
-                sys,
-                pager,
-                right_pno,
-                &Node::Leaf {
-                    next,
-                    cells: right_cells,
-                },
-            )?;
-            write_node(
-                sys,
-                pager,
-                pno,
-                &Node::Leaf {
-                    next: right_pno,
-                    cells,
-                },
-            )?;
-            Ok(Some((sep, right_pno)))
-        }
-        Node::Interior {
+    if depth >= MAX_DEPTH {
+        return Err(too_deep());
+    }
+    let page = pager.page_ref(sys, pno)?;
+    if page[0] == INTERIOR {
+        let (idx, child) = child_index(page, Probe::Key(key))?;
+        // The recursion may evict this page; keep its bytes in case a
+        // split propagates up.
+        let mut parent = [0u8; DB_PAGE];
+        parent.copy_from_slice(page);
+        let Some((sep, right)) = insert_rec(sys, pager, child, key, value, depth + 1)? else {
+            return Ok(None);
+        };
+        let Node::Interior {
             mut keys,
             mut children,
-        } => {
-            let idx = keys.partition_point(|k| k.as_slice() <= key);
-            let child = children[idx];
-            let Some((sep, right)) = insert_rec(sys, pager, child, key, value)? else {
-                return Ok(None);
-            };
-            keys.insert(idx, sep);
-            children.insert(idx + 1, right);
-            let node = Node::Interior { keys, children };
-            if node.serialized_size() <= DB_PAGE {
-                write_node(sys, pager, pno, &node)?;
-                return Ok(None);
-            }
-            let Node::Interior {
-                mut keys,
-                mut children,
-            } = node
-            else {
-                unreachable!()
-            };
-            let mid = keys.len() / 2;
-            let promote = keys[mid].clone();
-            let right_keys = keys.split_off(mid + 1);
-            keys.pop(); // the promoted key leaves this node
-            let right_children = children.split_off(mid + 1);
-            let right_pno = pager.allocate_page(sys)?;
-            write_node(
-                sys,
-                pager,
-                right_pno,
-                &Node::Interior {
-                    keys: right_keys,
-                    children: right_children,
-                },
-            )?;
-            write_node(sys, pager, pno, &Node::Interior { keys, children })?;
-            Ok(Some((promote, right_pno)))
+        } = Node::decode(&parent)?
+        else {
+            unreachable!("kind checked above");
+        };
+        keys.insert(idx, sep);
+        children.insert(idx + 1, right);
+        let node = Node::Interior { keys, children };
+        if node.serialized_size() <= DB_PAGE {
+            write_node(sys, pager, pno, &node)?;
+            return Ok(None);
         }
+        let Node::Interior {
+            mut keys,
+            mut children,
+        } = node
+        else {
+            unreachable!()
+        };
+        let mid = keys.len() / 2;
+        let promote = keys[mid].clone();
+        let right_keys = keys.split_off(mid + 1);
+        keys.pop(); // the promoted key leaves this node
+        let right_children = children.split_off(mid + 1);
+        let right_pno = pager.allocate_page(sys)?;
+        write_node(
+            sys,
+            pager,
+            right_pno,
+            &Node::Interior {
+                keys: right_keys,
+                children: right_children,
+            },
+        )?;
+        write_node(sys, pager, pno, &Node::Interior { keys, children })?;
+        return Ok(Some((promote, right_pno)));
     }
+
+    let spot = Spot::find(page, key)?;
+    if key.len() <= MAX_KEY
+        && value.len() <= MAX_LOCAL
+        && spot.overflow == 0
+        && spot.used_after(CELL_HEADER + key.len() + value.len()) <= DB_PAGE
+    {
+        spot.splice(pager.page_mut(sys, pno)?, Some((key, value)));
+        return Ok(None);
+    }
+    // Overflow chains and splits: edit a decoded copy.
+    let Node::Leaf { next, mut cells } = Node::decode(page)? else {
+        unreachable!("Spot::find checked the kind");
+    };
+    if spot.found {
+        if spot.overflow != 0 {
+            free_overflow(sys, pager, spot.overflow)?;
+        }
+        cells[spot.idx] = make_cell(sys, pager, key, value)?;
+    } else {
+        let cell = make_cell(sys, pager, key, value)?;
+        cells.insert(spot.idx, cell);
+    }
+    let node = Node::Leaf { next, cells };
+    if node.serialized_size() <= DB_PAGE {
+        write_node(sys, pager, pno, &node)?;
+        return Ok(None);
+    }
+    let Node::Leaf { next, mut cells } = node else {
+        unreachable!()
+    };
+    let right_cells = cells.split_off(leaf_split_point(&cells));
+    let sep = right_cells[0].key.clone();
+    let right_pno = pager.allocate_page(sys)?;
+    write_node(
+        sys,
+        pager,
+        right_pno,
+        &Node::Leaf {
+            next,
+            cells: right_cells,
+        },
+    )?;
+    write_node(
+        sys,
+        pager,
+        pno,
+        &Node::Leaf {
+            next: right_pno,
+            cells,
+        },
+    )?;
+    Ok(Some((sep, right_pno)))
 }
 
 /// Looks up `key`.
@@ -406,21 +622,31 @@ fn insert_rec(
 /// Pager errors or corruption.
 pub fn get(sys: &mut System, pager: &mut Pager, root: u32, key: &[u8]) -> Result<Option<Vec<u8>>> {
     let mut pno = root;
-    loop {
-        match read_node(sys, pager, pno)? {
-            Node::Leaf { cells, .. } => {
-                let idx = cells.partition_point(|c| c.key.as_slice() < key);
-                if idx < cells.len() && cells[idx].key == key {
-                    return Ok(Some(cell_value(sys, pager, &cells[idx])?));
+    for _ in 0..MAX_DEPTH {
+        let page = pager.page_ref(sys, pno)?;
+        if page[0] == INTERIOR {
+            pno = child_index(page, Probe::Key(key))?.1;
+            continue;
+        }
+        let mut chain = 0;
+        for cell in cells(page)? {
+            let cell = cell?;
+            match cell.key.cmp(key) {
+                Ordering::Less => {}
+                Ordering::Greater => break,
+                Ordering::Equal if cell.overflow == 0 => return Ok(Some(cell.local.to_vec())),
+                Ordering::Equal => {
+                    chain = cell.overflow;
+                    break;
                 }
-                return Ok(None);
-            }
-            Node::Interior { keys, children } => {
-                let idx = keys.partition_point(|k| k.as_slice() <= key);
-                pno = children[idx];
             }
         }
+        if chain == 0 {
+            return Ok(None);
+        }
+        return read_overflow(sys, pager, chain).map(Some);
     }
+    Err(too_deep())
 }
 
 /// Deletes `key`. Returns `true` if it was present. Leaves are allowed
@@ -432,26 +658,30 @@ pub fn get(sys: &mut System, pager: &mut Pager, root: u32, key: &[u8]) -> Result
 /// Pager errors or corruption.
 pub fn delete(sys: &mut System, pager: &mut Pager, root: u32, key: &[u8]) -> Result<bool> {
     let mut pno = root;
-    loop {
-        match read_node(sys, pager, pno)? {
-            Node::Leaf { next, mut cells } => {
-                let idx = cells.partition_point(|c| c.key.as_slice() < key);
-                if idx < cells.len() && cells[idx].key == key {
-                    let cell = cells.remove(idx);
-                    if cell.overflow != 0 {
-                        free_overflow(sys, pager, cell.overflow)?;
-                    }
-                    write_node(sys, pager, pno, &Node::Leaf { next, cells })?;
-                    return Ok(true);
-                }
-                return Ok(false);
-            }
-            Node::Interior { keys, children } => {
-                let idx = keys.partition_point(|k| k.as_slice() <= key);
-                pno = children[idx];
-            }
+    for _ in 0..MAX_DEPTH {
+        let page = pager.page_ref(sys, pno)?;
+        if page[0] == INTERIOR {
+            pno = child_index(page, Probe::Key(key))?.1;
+            continue;
         }
+        let spot = Spot::find(page, key)?;
+        if !spot.found {
+            return Ok(false);
+        }
+        if spot.overflow == 0 {
+            spot.splice(pager.page_mut(sys, pno)?, None);
+            return Ok(true);
+        }
+        // Freeing the chain may evict the leaf: edit a decoded copy.
+        let Node::Leaf { next, mut cells } = Node::decode(page)? else {
+            unreachable!("Spot::find checked the kind");
+        };
+        cells.remove(spot.idx);
+        free_overflow(sys, pager, spot.overflow)?;
+        write_node(sys, pager, pno, &Node::Leaf { next, cells })?;
+        return Ok(true);
     }
+    Err(too_deep())
 }
 
 /// Frees every page of the tree (DROP TABLE / DROP INDEX).
@@ -460,21 +690,30 @@ pub fn delete(sys: &mut System, pager: &mut Pager, root: u32, key: &[u8]) -> Res
 ///
 /// Pager errors or corruption.
 pub fn free_tree(sys: &mut System, pager: &mut Pager, root: u32) -> Result<()> {
-    match read_node(sys, pager, root)? {
-        Node::Leaf { cells, .. } => {
-            for c in &cells {
-                if c.overflow != 0 {
-                    free_overflow(sys, pager, c.overflow)?;
+    fn free(sys: &mut System, pager: &mut Pager, pno: u32, depth: usize) -> Result<()> {
+        if depth >= MAX_DEPTH {
+            return Err(too_deep());
+        }
+        let page = pager.page_ref(sys, pno)?;
+        if page[0] == INTERIOR {
+            for child in children(page, interior_count(page)?)? {
+                free(sys, pager, child, depth + 1)?;
+            }
+        } else {
+            let mut chains = Vec::new();
+            for cell in cells(page)? {
+                let overflow = cell?.overflow;
+                if overflow != 0 {
+                    chains.push(overflow);
                 }
             }
-        }
-        Node::Interior { children, .. } => {
-            for child in children {
-                free_tree(sys, pager, child)?;
+            for chain in chains {
+                free_overflow(sys, pager, chain)?;
             }
         }
+        pager.free_page(sys, pno)
     }
-    pager.free_page(sys, root)
+    free(sys, pager, root, 0)
 }
 
 /// Returns the largest key in the tree, or `None` when empty.
@@ -484,26 +723,25 @@ pub fn free_tree(sys: &mut System, pager: &mut Pager, root: u32) -> Result<()> {
 /// Pager errors or corruption.
 pub fn last_key(sys: &mut System, pager: &mut Pager, root: u32) -> Result<Option<Vec<u8>>> {
     let mut pno = root;
-    loop {
-        match read_node(sys, pager, pno)? {
-            Node::Leaf { cells, .. } => {
-                if let Some(cell) = cells.last() {
-                    return Ok(Some(cell.key.clone()));
-                }
-                // Lazy deletion can leave the rightmost leaf empty; fall
-                // back to a full scan remembering the last key seen.
-                let mut cur = Cursor::seek(sys, pager, root, None)?;
-                let mut last = None;
-                while let Some((key, _)) = cur.next(sys, pager)? {
-                    last = Some(key);
-                }
-                return Ok(last);
-            }
-            Node::Interior { children, .. } => {
-                pno = *children.last().expect("interior has children");
-            }
+    for _ in 0..MAX_DEPTH {
+        let page = pager.page_ref(sys, pno)?;
+        if page[0] == INTERIOR {
+            pno = child_index(page, Probe::Last)?.1;
+            continue;
         }
+        if let Some(cell) = cells(page)?.last() {
+            return Ok(Some(cell?.key.to_vec()));
+        }
+        // Lazy deletion can leave the rightmost leaf empty; fall back to
+        // a full scan remembering the last key seen.
+        let mut cur = Cursor::seek(sys, pager, root, None)?;
+        let mut last = None;
+        while let Some((key, _)) = cur.next(sys, pager)? {
+            last = Some(key);
+        }
+        return Ok(last);
     }
+    Err(too_deep())
 }
 
 // ---------------------------------------------------------------------------
@@ -513,11 +751,17 @@ pub fn last_key(sys: &mut System, pager: &mut Pager, root: u32) -> Result<Option
 /// Forward cursor over a tree's entries in key order.
 #[derive(Debug)]
 pub struct Cursor {
-    leaf: u32,
-    idx: usize,
-    cached_leaf: u32,
-    cells: Vec<LeafCell>,
+    /// Copy of the current leaf: the scan reads its cells from here, so
+    /// it neither touches the page cache per entry nor sees the leaf
+    /// change under it.
+    leaf: Vec<u8>,
+    /// Offset of the next cell in `leaf`, and cells left from there.
+    pos: usize,
+    left: usize,
     next_leaf: u32,
+    /// Leaves loaded so far (a sibling chain longer than the database
+    /// is cyclic).
+    hops: u32,
 }
 
 impl Cursor {
@@ -533,31 +777,42 @@ impl Cursor {
         root: u32,
         start: Option<&[u8]>,
     ) -> Result<Cursor> {
+        let probe = start.map_or(Probe::First, Probe::Key);
         let mut pno = root;
-        loop {
-            match read_node(sys, pager, pno)? {
-                Node::Leaf { next, cells } => {
-                    let idx = match start {
-                        Some(key) => cells.partition_point(|c| c.key.as_slice() < key),
-                        None => 0,
-                    };
-                    return Ok(Cursor {
-                        leaf: pno,
-                        idx,
-                        cached_leaf: pno,
-                        cells,
-                        next_leaf: next,
-                    });
-                }
-                Node::Interior { keys, children } => {
-                    let idx = match start {
-                        Some(key) => keys.partition_point(|k| k.as_slice() <= key),
-                        None => 0,
-                    };
-                    pno = children[idx];
+        for _ in 0..MAX_DEPTH {
+            let page = pager.page_ref(sys, pno)?;
+            if page[0] == INTERIOR {
+                pno = child_index(page, probe)?.1;
+                continue;
+            }
+            let mut cur = Cursor {
+                leaf: page.to_vec(),
+                pos: LEAF_HEADER,
+                left: 0,
+                next_leaf: 0,
+                hops: 1,
+            };
+            cur.enter_leaf()?;
+            if let Some(start) = start {
+                for cell in cells(&cur.leaf)? {
+                    let cell = cell?;
+                    if cell.key >= start {
+                        break;
+                    }
+                    cur.pos = cell.end;
+                    cur.left -= 1;
                 }
             }
+            return Ok(cur);
         }
+        Err(too_deep())
+    }
+
+    /// Starts reading the leaf just copied into `self.leaf`.
+    fn enter_leaf(&mut self) -> Result<()> {
+        (self.left, self.next_leaf) = leaf_header(&self.leaf)?;
+        self.pos = LEAF_HEADER;
+        Ok(())
     }
 
     /// Returns the next `(key, value)`, or `None` at the end.
@@ -571,32 +826,24 @@ impl Cursor {
         pager: &mut Pager,
     ) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
         loop {
-            if self.cached_leaf != self.leaf {
-                let Node::Leaf { next, cells } = read_node(sys, pager, self.leaf)? else {
-                    return Err(SqlError::Corrupt("cursor leaf is not a leaf".into()));
-                };
-                self.cells = cells;
-                self.next_leaf = next;
-                self.cached_leaf = self.leaf;
-            }
-            if self.idx < self.cells.len() {
-                let idx = self.idx;
-                self.idx += 1;
-                let cell = &self.cells[idx];
-                // Inline values skip the extra cell clone on this hot path.
+            if self.left > 0 {
+                let cell = cell_at(&self.leaf, self.pos)?;
+                self.pos = cell.end;
+                self.left -= 1;
+                let key = cell.key.to_vec();
                 if cell.overflow == 0 {
-                    return Ok(Some((cell.key.clone(), cell.local.clone())));
+                    return Ok(Some((key, cell.local.to_vec())));
                 }
-                let key = cell.key.clone();
-                let value = read_overflow(sys, pager, cell.overflow)?;
-                return Ok(Some((key, value)));
+                let chain = cell.overflow;
+                return Ok(Some((key, read_overflow(sys, pager, chain)?)));
             }
             if self.next_leaf == 0 {
                 return Ok(None);
             }
-            self.leaf = self.next_leaf;
-            self.cached_leaf = u32::MAX; // force reload
-            self.idx = 0;
+            hop(pager, &mut self.hops, "leaf chain")?;
+            self.leaf
+                .copy_from_slice(pager.page_ref(sys, self.next_leaf)?);
+            self.enter_leaf()?;
         }
     }
 }
@@ -617,53 +864,45 @@ pub fn validate(sys: &mut System, pager: &mut Pager, root: u32) -> Result<u64> {
         pno: u32,
         lo: Option<&[u8]>,
         hi: Option<&[u8]>,
+        depth: usize,
     ) -> Result<u64> {
-        match read_node(sys, pager, pno)? {
-            Node::Leaf { cells, .. } => {
-                for w in cells.windows(2) {
-                    if w[0].key >= w[1].key {
-                        return Err(SqlError::Corrupt("leaf keys out of order".into()));
-                    }
-                }
-                for c in &cells {
-                    if lo.is_some_and(|l| c.key.as_slice() < l)
-                        || hi.is_some_and(|h| c.key.as_slice() >= h)
-                    {
-                        return Err(SqlError::Corrupt(
-                            "leaf key outside separator bounds".into(),
-                        ));
-                    }
-                }
-                Ok(cells.len() as u64)
-            }
-            Node::Interior { keys, children } => {
-                if children.len() != keys.len() + 1 {
-                    return Err(SqlError::Corrupt("interior arity mismatch".into()));
-                }
-                for w in keys.windows(2) {
-                    if w[0] >= w[1] {
-                        return Err(SqlError::Corrupt("interior keys out of order".into()));
-                    }
-                }
-                let mut count = 0;
-                for (i, &child) in children.iter().enumerate() {
-                    let clo = if i == 0 {
-                        lo
-                    } else {
-                        Some(keys[i - 1].as_slice())
-                    };
-                    let chi = if i == keys.len() {
-                        hi
-                    } else {
-                        Some(keys[i].as_slice())
-                    };
-                    count += walk(sys, pager, child, clo, chi)?;
-                }
-                Ok(count)
-            }
+        if depth >= MAX_DEPTH {
+            return Err(too_deep());
         }
+        let page = pager.page_ref(sys, pno)?;
+        if page[0] != INTERIOR {
+            let mut prev: Option<&[u8]> = None;
+            let mut count = 0;
+            for cell in cells(page)? {
+                let key = cell?.key;
+                if prev.is_some_and(|p| p >= key) {
+                    return Err(corrupt("leaf keys out of order"));
+                }
+                if lo.is_some_and(|l| key < l) || hi.is_some_and(|h| key >= h) {
+                    return Err(corrupt("leaf key outside separator bounds"));
+                }
+                prev = Some(key);
+                count += 1;
+            }
+            return Ok(count);
+        }
+        // The recursion may evict this page: walk a copy.
+        let page = page.to_vec();
+        let n = interior_count(&page)?;
+        let children = children(&page, n)?;
+        let keys = separators(&page, n).collect::<Result<Vec<_>>>()?;
+        if keys.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(corrupt("interior keys out of order"));
+        }
+        let mut count = 0;
+        for (i, &child) in children.iter().enumerate() {
+            let clo = if i == 0 { lo } else { Some(keys[i - 1]) };
+            let chi = if i == n { hi } else { Some(keys[i]) };
+            count += walk(sys, pager, child, clo, chi, depth + 1)?;
+        }
+        Ok(count)
     }
-    walk(sys, pager, root, None, None)
+    walk(sys, pager, root, None, None, 0)
 }
 
 #[cfg(test)]

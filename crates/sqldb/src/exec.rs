@@ -291,17 +291,39 @@ fn text_of(v: &SqlValue) -> String {
     }
 }
 
-/// `LIKE` matcher: `%` any run, `_` one char, ASCII case-insensitive.
+/// `LIKE` matcher: `%` any run, `_` one byte, ASCII case-insensitive.
+///
+/// Iterative, with backtracking to the most recent `%` only: a later
+/// `%` subsumes every earlier choice, so the match takes
+/// O(pattern × text) steps however many `%` the pattern holds.
 pub(crate) fn like_match(pattern: &str, text: &str) -> bool {
-    fn rec(p: &[u8], t: &[u8]) -> bool {
-        match p.first() {
-            None => t.is_empty(),
-            Some(b'%') => (0..=t.len()).any(|k| rec(&p[1..], &t[k..])),
-            Some(b'_') => !t.is_empty() && rec(&p[1..], &t[1..]),
-            Some(&c) => !t.is_empty() && t[0].eq_ignore_ascii_case(&c) && rec(&p[1..], &t[1..]),
+    let (p, t) = (pattern.as_bytes(), text.as_bytes());
+    let (mut pi, mut ti) = (0, 0);
+    // After the last `%` seen: the pattern position behind it and the
+    // text position its run currently ends at.
+    let mut star: Option<(usize, usize)> = None;
+    while ti < t.len() {
+        match p.get(pi) {
+            Some(b'%') => {
+                pi += 1;
+                star = Some((pi, ti));
+            }
+            Some(&c) if c == b'_' || c.eq_ignore_ascii_case(&t[ti]) => {
+                pi += 1;
+                ti += 1;
+            }
+            _ => match star {
+                // Let the last `%` swallow one more byte and retry.
+                Some((sp, st)) => {
+                    pi = sp;
+                    ti = st + 1;
+                    star = Some((sp, st + 1));
+                }
+                None => return false,
+            },
         }
     }
-    rec(pattern.as_bytes(), text.as_bytes())
+    p[pi..].iter().all(|&c| c == b'%')
 }
 
 fn scalar_fn(name: &str, vals: &[SqlValue], star: bool) -> Result<SqlValue> {
@@ -1430,4 +1452,77 @@ pub(crate) fn run_delete(
         rows_affected: affected,
         ..Default::default()
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::like_match;
+    use cubicle_mpk::rng::Rng64;
+    use std::time::{Duration, Instant};
+
+    /// The previous recursive matcher, kept as the differential oracle.
+    /// Exponential in the number of `%`.
+    fn like_match_recursive(pattern: &str, text: &str) -> bool {
+        fn rec(p: &[u8], t: &[u8]) -> bool {
+            match p.first() {
+                None => t.is_empty(),
+                Some(b'%') => (0..=t.len()).any(|k| rec(&p[1..], &t[k..])),
+                Some(b'_') => !t.is_empty() && rec(&p[1..], &t[1..]),
+                Some(&c) => !t.is_empty() && t[0].eq_ignore_ascii_case(&c) && rec(&p[1..], &t[1..]),
+            }
+        }
+        rec(pattern.as_bytes(), text.as_bytes())
+    }
+
+    #[test]
+    fn like_matches_the_recursive_matcher() {
+        const PATTERN: &[u8] = b"aAbB%%%__";
+        const TEXT: &[u8] = b"aAbBc_%";
+        let mut rng = Rng64::new(0x11CE);
+        let mut matched = 0;
+        for _ in 0..20_000 {
+            let plen = rng.range_usize(0, 9);
+            let tlen = rng.range_usize(0, 13);
+            let pattern: String = (0..plen).map(|_| char::from(*rng.pick(PATTERN))).collect();
+            let text: String = (0..tlen).map(|_| char::from(*rng.pick(TEXT))).collect();
+            let want = like_match_recursive(&pattern, &text);
+            assert_eq!(
+                like_match(&pattern, &text),
+                want,
+                "{pattern:?} LIKE {text:?}"
+            );
+            matched += usize::from(want);
+        }
+        assert!(matched > 1_000, "the seeded cases must include matches");
+    }
+
+    #[test]
+    fn like_edge_cases() {
+        assert!(like_match("", ""));
+        assert!(!like_match("", "a"));
+        assert!(like_match("%", ""));
+        assert!(like_match("%%", "abc"));
+        assert!(!like_match("_", ""));
+        assert!(like_match("a_c", "ABC"));
+        assert!(like_match("%b%", "abc"));
+        assert!(!like_match("%b", "abc"));
+        assert!(like_match("lor%sum", "LOREMIPSUM"));
+        assert!(!like_match("lor%sum", "loremipsu"));
+    }
+
+    #[test]
+    fn like_is_not_exponential_in_percent_signs() {
+        let text = "a".repeat(40);
+        let t = Instant::now();
+        for extra in 0..=20 {
+            let pattern = format!("{}b", "%a".repeat(6 + extra));
+            assert!(!like_match(&pattern, &text), "{pattern}");
+        }
+        assert!(like_match(&format!("{}%", "%a".repeat(40)), &text));
+        assert!(
+            t.elapsed() < Duration::from_millis(100),
+            "pathological LIKE patterns took {:?}",
+            t.elapsed()
+        );
+    }
 }

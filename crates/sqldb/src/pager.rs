@@ -63,10 +63,134 @@ pub struct PagerStats {
     pub checkpoints: u64,
 }
 
+/// Sentinel for "no entry" in the LRU links.
+const NIL: usize = usize::MAX;
+
 struct CacheEntry {
+    pno: u32,
     data: Vec<u8>,
     dirty: bool,
-    tick: u64,
+    /// Neighbours towards the most (`prev`) and the least (`next`)
+    /// recently used end of the LRU list.
+    prev: usize,
+    next: usize,
+}
+
+/// The page cache: entries in a slab, threaded on an intrusive LRU list
+/// (`head` = most recently used), so touching a page and picking the
+/// eviction victim are O(1) rather than a scan over every entry.
+struct PageCache {
+    index: HashMap<u32, usize>,
+    slots: Vec<CacheEntry>,
+    free: Vec<usize>,
+    head: usize,
+    tail: usize,
+}
+
+impl PageCache {
+    fn new() -> PageCache {
+        PageCache {
+            index: HashMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Looks up `pno` without changing its LRU position.
+    fn get(&self, pno: u32) -> Option<&CacheEntry> {
+        self.index.get(&pno).map(|&s| &self.slots[s])
+    }
+
+    /// [`PageCache::get`], mutably.
+    fn get_mut(&mut self, pno: u32) -> Option<&mut CacheEntry> {
+        self.index.get(&pno).map(|&s| &mut self.slots[s])
+    }
+
+    /// Looks up `pno` and makes it the most recently used entry.
+    fn touch(&mut self, pno: u32) -> Option<&mut CacheEntry> {
+        let s = *self.index.get(&pno)?;
+        if s != self.head {
+            self.unlink(s);
+            self.push_front(s);
+        }
+        Some(&mut self.slots[s])
+    }
+
+    /// Adds `pno` (not yet cached) as the most recently used entry.
+    fn insert(&mut self, pno: u32, data: Vec<u8>, dirty: bool) {
+        let entry = CacheEntry {
+            pno,
+            data,
+            dirty,
+            prev: NIL,
+            next: NIL,
+        };
+        let s = match self.free.pop() {
+            Some(s) => {
+                self.slots[s] = entry;
+                s
+            }
+            None => {
+                self.slots.push(entry);
+                self.slots.len() - 1
+            }
+        };
+        self.index.insert(pno, s);
+        self.push_front(s);
+    }
+
+    /// Removes the least recently used entry: `(pno, data, dirty)`.
+    fn pop_lru(&mut self) -> Option<(u32, Vec<u8>, bool)> {
+        let s = self.tail;
+        if s == NIL {
+            return None;
+        }
+        self.unlink(s);
+        self.free.push(s);
+        let e = &mut self.slots[s];
+        self.index.remove(&e.pno);
+        Some((e.pno, std::mem::take(&mut e.data), e.dirty))
+    }
+
+    /// Dirty pages in ascending page order.
+    fn dirty_pages(&self) -> Vec<u32> {
+        let mut dirty: Vec<u32> = self
+            .index
+            .iter()
+            .filter(|&(_, &s)| self.slots[s].dirty)
+            .map(|(&p, _)| p)
+            .collect();
+        dirty.sort_unstable();
+        dirty
+    }
+
+    fn unlink(&mut self, s: usize) {
+        let (prev, next) = (self.slots[s].prev, self.slots[s].next);
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n].prev = prev,
+        }
+    }
+
+    fn push_front(&mut self, s: usize) {
+        self.slots[s].prev = NIL;
+        self.slots[s].next = self.head;
+        match self.head {
+            NIL => self.tail = s,
+            h => self.slots[h].prev = s,
+        }
+        self.head = s;
+    }
 }
 
 struct Journal {
@@ -81,9 +205,8 @@ pub struct Pager {
     env: Box<dyn StorageEnv>,
     path: String,
     file: Box<dyn StorageFile>,
-    cache: HashMap<u32, CacheEntry>,
+    cache: PageCache,
     cache_cap: usize,
-    tick: u64,
     page_count: u32,
     freelist_head: u32,
     schema_root: u32,
@@ -161,9 +284,8 @@ impl Pager {
             env,
             path: path.to_string(),
             file,
-            cache: HashMap::new(),
+            cache: PageCache::new(),
             cache_cap: cache_pages.max(8),
-            tick: 0,
             page_count: 1,
             freelist_head: 0,
             schema_root: 0,
@@ -350,13 +472,7 @@ impl Pager {
             return Err(SqlError::Transaction("commit without transaction".into()));
         }
         self.wal_txn = false;
-        let mut dirty: Vec<u32> = self
-            .cache
-            .iter()
-            .filter(|(_, e)| e.dirty)
-            .map(|(&p, _)| p)
-            .collect();
-        dirty.sort_unstable();
+        let dirty = self.cache.dirty_pages();
         if dirty.is_empty() && self.txn_index.is_empty() {
             return Ok(()); // read-only transaction: nothing to make durable
         }
@@ -373,7 +489,7 @@ impl Pager {
             let last = *dirty.last().expect("non-empty");
             for pno in dirty {
                 let db_size = if pno == last { self.page_count } else { 0 };
-                let entry = self.cache.get_mut(&pno).expect("listed above");
+                let entry = self.cache.get_mut(pno).expect("listed above");
                 let wal = self.wal.as_mut().expect("wal mode");
                 let off = wal.append_frame(sys, pno, db_size, &entry.data)?;
                 entry.dirty = false;
@@ -421,15 +537,8 @@ impl Pager {
         // The header page was journaled and updated through write_page
         // whenever page_count / freelist / schema_root changed, so the
         // dirty-page sweep below covers it.
-        let mut dirty: Vec<u32> = self
-            .cache
-            .iter()
-            .filter(|(_, e)| e.dirty)
-            .map(|(&p, _)| p)
-            .collect();
-        dirty.sort_unstable();
-        for pno in dirty {
-            let entry = self.cache.get_mut(&pno).expect("listed above");
+        for pno in self.cache.dirty_pages() {
+            let entry = self.cache.get_mut(pno).expect("listed above");
             self.file
                 .pwrite(sys, u64::from(pno) * DB_PAGE as u64, &entry.data)?;
             entry.dirty = false;
@@ -463,7 +572,7 @@ impl Pager {
                     .expect("wal mode")
                     .rollback_uncommitted(sys)?;
                 self.txn_index.clear();
-                self.cache.clear();
+                self.cache = PageCache::new();
                 self.reload_header(sys)
             }
             JournalMode::Rollback => {
@@ -476,7 +585,7 @@ impl Pager {
                 let jp = journal_path(&self.path);
                 recover(sys, self.env.as_mut(), &self.path, &jp)?;
                 // All cached state may be stale now.
-                self.cache.clear();
+                self.cache = PageCache::new();
                 self.reload_header(sys)
             }
         }
@@ -586,12 +695,17 @@ impl Pager {
     }
 
     fn write_header(&mut self, sys: &mut System) -> Result<()> {
-        let mut header = self.read_page(sys, 0)?;
+        // A read followed by a write of page 0, as a read-modify-write
+        // through `read_page` + `write_page` would be, minus the copies.
+        self.page_ref(sys, 0)?;
+        let (page_count, freelist_head, schema_root) =
+            (self.page_count, self.freelist_head, self.schema_root);
+        let header = self.page_mut(sys, 0)?;
         header[..16].copy_from_slice(MAGIC);
-        header[16..20].copy_from_slice(&self.page_count.to_le_bytes());
-        header[20..24].copy_from_slice(&self.freelist_head.to_le_bytes());
-        header[24..28].copy_from_slice(&self.schema_root.to_le_bytes());
-        self.write_page(sys, 0, &header)
+        header[16..20].copy_from_slice(&page_count.to_le_bytes());
+        header[20..24].copy_from_slice(&freelist_head.to_le_bytes());
+        header[24..28].copy_from_slice(&schema_root.to_le_bytes());
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -608,17 +722,14 @@ impl Pager {
     }
 
     /// Reads page `pno` through the cache, returning a borrow of the
-    /// cached copy. The btree layer decodes in place from this borrow,
-    /// so a cache hit costs no page-sized copy.
+    /// cached copy. The btree layer parses cells in place from this
+    /// borrow, so a cache hit costs no page-sized copy.
     ///
     /// # Errors
     ///
     /// I/O errors; reading past the end yields a zeroed page.
     pub fn page_ref(&mut self, sys: &mut System, pno: u32) -> Result<&[u8]> {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(e) = self.cache.get_mut(&pno) {
-            e.tick = tick;
+        if self.cache.touch(pno).is_some() {
             self.stats.hits += 1;
         } else {
             self.stats.misses += 1;
@@ -641,7 +752,7 @@ impl Pager {
             }
             self.insert_cache(sys, pno, data, false)?;
         }
-        Ok(&self.cache.get(&pno).expect("resident after fill").data)
+        Ok(&self.cache.get(pno).expect("resident after fill").data)
     }
 
     /// Writes page `pno` (journaling its original content first in
@@ -657,21 +768,51 @@ impl Pager {
     /// Panics if `data` is not exactly [`DB_PAGE`] bytes.
     pub fn write_page(&mut self, sys: &mut System, pno: u32, data: &[u8]) -> Result<()> {
         assert_eq!(data.len(), DB_PAGE, "pages are exactly {DB_PAGE} bytes");
+        self.prepare_write(sys, pno)?;
+        if let Some(e) = self.cache.touch(pno) {
+            e.data.copy_from_slice(data);
+            e.dirty = true;
+            return Ok(());
+        }
+        self.insert_cache(sys, pno, data.to_vec(), true)
+    }
+
+    /// Borrows page `pno` for modification in place.
+    ///
+    /// On a cached page this has exactly [`Pager::write_page`]'s effects
+    /// (rollback mode journals the pre-image before the caller can
+    /// mutate it, then the page becomes most recently used and dirty),
+    /// so editing a few bytes through it is indistinguishable, in cache
+    /// state, I/O and stats, from writing the whole modified page back.
+    /// A page that is not cached is read in first, which counts as a
+    /// miss exactly like [`Pager::page_ref`].
+    ///
+    /// # Errors
+    ///
+    /// [`SqlError::Transaction`] outside a transaction; I/O errors.
+    pub(crate) fn page_mut(&mut self, sys: &mut System, pno: u32) -> Result<&mut [u8]> {
+        if !self.in_txn() {
+            return Err(SqlError::Transaction("write outside a transaction".into()));
+        }
+        if self.cache.get(pno).is_none() {
+            self.page_ref(sys, pno)?;
+        }
+        self.prepare_write(sys, pno)?;
+        let e = self.cache.touch(pno).expect("resident");
+        e.dirty = true;
+        Ok(&mut e.data)
+    }
+
+    /// Checks that a transaction is open and, in rollback mode, saves
+    /// the page's pre-image before its first modification.
+    fn prepare_write(&mut self, sys: &mut System, pno: u32) -> Result<()> {
         if !self.in_txn() {
             return Err(SqlError::Transaction("write outside a transaction".into()));
         }
         if self.mode == JournalMode::Rollback {
             self.journal_page(sys, pno)?;
         }
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(e) = self.cache.get_mut(&pno) {
-            e.data.copy_from_slice(data);
-            e.dirty = true;
-            e.tick = tick;
-            return Ok(());
-        }
-        self.insert_cache(sys, pno, data.to_vec(), true)
+        Ok(())
     }
 
     fn journal_page(&mut self, sys: &mut System, pno: u32) -> Result<()> {
@@ -682,7 +823,7 @@ impl Pager {
         // Fetch the original content (cache copy may already be current
         // transaction state — but journaled-set guarantees first touch).
         let mut orig = vec![0u8; DB_PAGE];
-        if let Some(e) = self.cache.get(&pno) {
+        if let Some(e) = self.cache.get(pno) {
             orig.copy_from_slice(&e.data);
         } else {
             self.file
@@ -706,40 +847,27 @@ impl Pager {
         dirty: bool,
     ) -> Result<()> {
         while self.cache.len() >= self.cache_cap {
-            // Evict the least recently used page.
-            let victim = self
-                .cache
-                .iter()
-                .min_by_key(|(_, e)| e.tick)
-                .map(|(&p, _)| p)
-                .expect("cache non-empty");
-            let entry = self.cache.remove(&victim).expect("present");
-            if entry.dirty {
+            let (victim, victim_data, victim_dirty) =
+                self.cache.pop_lru().expect("cache non-empty");
+            if victim_dirty {
                 self.stats.evictions += 1;
                 match self.mode {
                     JournalMode::Rollback => {
                         self.file
-                            .pwrite(sys, u64::from(victim) * DB_PAGE as u64, &entry.data)?;
+                            .pwrite(sys, u64::from(victim) * DB_PAGE as u64, &victim_data)?;
                     }
                     JournalMode::Wal => {
                         // Mid-transaction spill: an ordinary (non-commit)
                         // frame. The db file is never written mid-txn.
                         let wal = self.wal.as_mut().expect("wal mode");
-                        let off = wal.append_frame(sys, victim, 0, &entry.data)?;
+                        let off = wal.append_frame(sys, victim, 0, &victim_data)?;
                         self.txn_index.insert(victim, off);
                         self.stats.wal_frames += 1;
                     }
                 }
             }
         }
-        self.cache.insert(
-            pno,
-            CacheEntry {
-                data,
-                dirty,
-                tick: self.tick,
-            },
-        );
+        self.cache.insert(pno, data, dirty);
         Ok(())
     }
 
@@ -761,7 +889,7 @@ impl Pager {
         }
         let pno = if self.freelist_head != 0 {
             let pno = self.freelist_head;
-            let page = self.read_page(sys, pno)?;
+            let page = self.page_ref(sys, pno)?;
             self.freelist_head = u32::from_le_bytes(page[..4].try_into().expect("4"));
             pno
         } else {
@@ -770,7 +898,7 @@ impl Pager {
             pno
         };
         self.write_header(sys)?;
-        self.write_page(sys, pno, &vec![0u8; DB_PAGE])?;
+        self.write_page(sys, pno, &[0u8; DB_PAGE])?;
         Ok(pno)
     }
 
@@ -854,6 +982,86 @@ mod tests {
 
     fn open(sys: &mut System, env: &HostEnv) -> Pager {
         Pager::open(sys, Box::new(env.clone()), "/test.db", 16).unwrap()
+    }
+
+    /// The cache's resident pages, sorted.
+    fn resident(p: &Pager) -> Vec<u32> {
+        let mut pages: Vec<u32> = p.cache.index.keys().copied().collect();
+        pages.sort_unstable();
+        pages
+    }
+
+    /// The LRU list picks exactly the victims the former linear scan for
+    /// the minimum access tick picked, on a seeded trace of reads, whole
+    /// page writes and in-place writes.
+    #[test]
+    fn lru_list_evicts_like_a_linear_tick_scan() {
+        use cubicle_mpk::rng::Rng64;
+        const PAGES: u32 = 40;
+        const CAP: usize = 8;
+        let mut sys = sys();
+        let env = HostEnv::new();
+        {
+            let mut p = open(&mut sys, &env);
+            p.begin(&mut sys).unwrap();
+            for _ in 0..PAGES {
+                p.allocate_page(&mut sys).unwrap();
+            }
+            p.commit(&mut sys).unwrap();
+        }
+        let mut p = Pager::open(&mut sys, Box::new(env.clone()), "/test.db", CAP).unwrap();
+        p.begin(&mut sys).unwrap();
+
+        // The reference: every access stamps a fresh tick; a miss on a
+        // full cache evicts the page with the smallest tick.
+        let mut ticks: HashMap<u32, u64> = HashMap::new();
+        let mut tick = 0u64;
+        let mut access = |ticks: &mut HashMap<u32, u64>, pno: u32, victims: &mut Vec<u32>| {
+            tick += 1;
+            if !ticks.contains_key(&pno) && ticks.len() >= CAP {
+                let (&victim, _) = ticks.iter().min_by_key(|(_, &t)| t).unwrap();
+                ticks.remove(&victim);
+                victims.push(victim);
+            }
+            ticks.insert(pno, tick);
+        };
+
+        let mut rng = Rng64::new(0x1A0);
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        for step in 0..5_000 {
+            // a hot set of 6 pages plus a cold tail, so hits and misses mix
+            let pno = if rng.range_usize(0, 4) == 0 {
+                rng.range_u64(1, u64::from(PAGES) + 1) as u32
+            } else {
+                rng.range_u64(1, 7) as u32
+            };
+            let before = resident(&p);
+            match rng.range_usize(0, 3) {
+                0 => {
+                    access(&mut ticks, pno, &mut want);
+                    p.page_ref(&mut sys, pno).unwrap();
+                }
+                1 => {
+                    access(&mut ticks, pno, &mut want);
+                    p.write_page(&mut sys, pno, &[step as u8; DB_PAGE]).unwrap();
+                }
+                _ => {
+                    if !before.contains(&pno) {
+                        access(&mut ticks, pno, &mut want); // page_mut reads a missing page in first
+                    }
+                    access(&mut ticks, pno, &mut want);
+                    p.page_mut(&mut sys, pno).unwrap()[0] = step as u8;
+                }
+            }
+            let after = resident(&p);
+            got.extend(before.iter().copied().filter(|q| !after.contains(q)));
+            let mut model: Vec<u32> = ticks.keys().copied().collect();
+            model.sort_unstable();
+            assert_eq!(after, model, "resident set diverged at step {step}");
+        }
+        assert_eq!(got, want, "eviction sequence");
+        assert!(want.len() > 1_000, "the trace must evict");
+        p.commit(&mut sys).unwrap();
     }
 
     #[test]
