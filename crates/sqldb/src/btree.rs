@@ -419,8 +419,14 @@ fn hop(pager: &Pager, hops: &mut u32, what: &str) -> Result<()> {
     Ok(())
 }
 
-fn read_overflow(sys: &mut System, pager: &mut Pager, mut pno: u32) -> Result<Vec<u8>> {
-    let mut out = Vec::new();
+/// Reads an overflow chain's bytes into `out`, replacing its contents.
+fn read_overflow(
+    sys: &mut System,
+    pager: &mut Pager,
+    mut pno: u32,
+    out: &mut Vec<u8>,
+) -> Result<()> {
+    out.clear();
     let mut hops = 0;
     while pno != 0 {
         hop(pager, &mut hops, "overflow chain")?;
@@ -429,7 +435,7 @@ fn read_overflow(sys: &mut System, pager: &mut Pager, mut pno: u32) -> Result<Ve
         out.extend_from_slice(bytes(page, 8, len, "overflow data")?);
         pno = read_u32(page, 0, "overflow header")?;
     }
-    Ok(out)
+    Ok(())
 }
 
 fn free_overflow(sys: &mut System, pager: &mut Pager, mut pno: u32) -> Result<()> {
@@ -644,7 +650,9 @@ pub fn get(sys: &mut System, pager: &mut Pager, root: u32, key: &[u8]) -> Result
         if chain == 0 {
             return Ok(None);
         }
-        return read_overflow(sys, pager, chain).map(Some);
+        let mut value = Vec::new();
+        read_overflow(sys, pager, chain, &mut value)?;
+        return Ok(Some(value));
     }
     Err(too_deep())
 }
@@ -737,7 +745,7 @@ pub fn last_key(sys: &mut System, pager: &mut Pager, root: u32) -> Result<Option
         let mut cur = Cursor::seek(sys, pager, root, None)?;
         let mut last = None;
         while let Some((key, _)) = cur.next(sys, pager)? {
-            last = Some(key);
+            last = Some(key.to_vec());
         }
         return Ok(last);
     }
@@ -762,6 +770,9 @@ pub struct Cursor {
     /// Leaves loaded so far (a sibling chain longer than the database
     /// is cyclic).
     hops: u32,
+    /// The current entry's value when it spills onto an overflow chain,
+    /// reused from entry to entry.
+    overflow: Vec<u8>,
 }
 
 impl Cursor {
@@ -791,6 +802,7 @@ impl Cursor {
                 left: 0,
                 next_leaf: 0,
                 hops: 1,
+                overflow: Vec::new(),
             };
             cur.enter_leaf()?;
             if let Some(start) = start {
@@ -817,25 +829,23 @@ impl Cursor {
 
     /// Returns the next `(key, value)`, or `None` at the end.
     ///
+    /// Both slices borrow the cursor and stay valid until the next call;
+    /// a caller that keeps an entry copies it.
+    ///
     /// # Errors
     ///
     /// Pager errors or corruption.
-    pub fn next(
-        &mut self,
-        sys: &mut System,
-        pager: &mut Pager,
-    ) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
+    pub fn next(&mut self, sys: &mut System, pager: &mut Pager) -> Result<Option<(&[u8], &[u8])>> {
         loop {
             if self.left > 0 {
                 let cell = cell_at(&self.leaf, self.pos)?;
                 self.pos = cell.end;
                 self.left -= 1;
-                let key = cell.key.to_vec();
                 if cell.overflow == 0 {
-                    return Ok(Some((key, cell.local.to_vec())));
+                    return Ok(Some((cell.key, cell.local)));
                 }
-                let chain = cell.overflow;
-                return Ok(Some((key, read_overflow(sys, pager, chain)?)));
+                read_overflow(sys, pager, cell.overflow, &mut self.overflow)?;
+                return Ok(Some((cell.key, &self.overflow)));
             }
             if self.next_leaf == 0 {
                 return Ok(None);

@@ -304,12 +304,8 @@ impl Database {
             return Ok(());
         }
         let mut cur = btree::Cursor::seek(sys, &mut self.pager, root, None)?;
-        let mut raw = Vec::new();
         while let Some((_, value)) = cur.next(sys, &mut self.pager)? {
-            raw.push(value);
-        }
-        for value in raw {
-            let rec = decode_record(&value)?;
+            let rec = decode_record(value)?;
             let kind = match &rec[0] {
                 SqlValue::Text(t) => t.clone(),
                 _ => return Err(SqlError::Corrupt("catalog kind".into())),
@@ -479,8 +475,8 @@ impl Database {
         let mut cur = btree::Cursor::seek(sys, &mut self.pager, tinfo.root, None)?;
         let mut entries = Vec::new();
         while let Some((key, value)) = cur.next(sys, &mut self.pager)? {
-            let rowid = crate::record::decode_rowid(&key)?;
-            let row = pad_row(&tinfo, decode_record(&value)?);
+            let rowid = crate::record::decode_rowid(key)?;
+            let row = pad_row(&tinfo, decode_record(value)?);
             let vals: Vec<SqlValue> = col_indices.iter().map(|&i| row[i].clone()).collect();
             entries.push((vals, rowid));
         }

@@ -3,12 +3,15 @@
 
 use crate::ast::{BinOp, Expr, SelectItem, SelectStmt, UnOp};
 use crate::btree;
-use crate::db::{Database, IndexInfo, QueryResult, TableInfo};
+use crate::db::{pad_row, Database, IndexInfo, QueryResult, TableInfo};
 use crate::error::{Result, SqlError};
-use crate::record::{decode_record, decode_rowid, encode_index_key, encode_rowid};
+use crate::record::{
+    decode_rowid, encode_index_key, encode_key_value, encode_rowid, index_key_rowid, RecordView,
+};
 use crate::value::SqlValue;
 use cubicle_core::System;
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 
 /// Simulated cycles charged per row materialised from storage.
 const ROW_DECODE_COST: u64 = 425;
@@ -19,49 +22,123 @@ const EVAL_COST: u64 = 34;
 // Name binding
 // ---------------------------------------------------------------------------
 
-#[derive(Clone, Debug)]
-struct Binding {
-    alias: String,
-    columns: Vec<String>,
-    rowid_name: Option<String>, // INTEGER PRIMARY KEY alias column
-    row: Vec<SqlValue>,
+/// One table's current row.
+struct Binding<'a> {
+    meta: &'a TableMeta,
     rowid: i64,
+    row: Row<'a>,
 }
 
-#[derive(Default)]
-struct Env {
-    bindings: Vec<Binding>,
+#[derive(Clone, Copy)]
+enum Row<'a> {
+    /// Stored record bytes, decoded column by column as expressions
+    /// read them.
+    Record(RecordView<'a>),
+    /// A materialised row, already padded to the table's width.
+    Values(&'a [SqlValue]),
 }
 
-impl Env {
-    fn resolve(&self, table: Option<&str>, name: &str) -> Result<SqlValue> {
-        let mut found: Option<SqlValue> = None;
-        for b in &self.bindings {
-            if let Some(t) = table {
-                if !b.alias.eq_ignore_ascii_case(t) {
-                    continue;
-                }
-            }
-            if name.eq_ignore_ascii_case("rowid")
-                && !b.columns.iter().any(|c| c.eq_ignore_ascii_case("rowid"))
-                && (table.is_some() || self.bindings.len() == 1)
-            {
-                return Ok(SqlValue::Integer(b.rowid));
-            }
-            if let Some(i) = b.columns.iter().position(|c| c.eq_ignore_ascii_case(name)) {
-                if found.is_some() {
-                    return Err(SqlError::Misuse(format!("ambiguous column `{name}`")));
-                }
-                found = Some(b.row[i].clone());
-            } else if b
-                .rowid_name
-                .as_deref()
-                .is_some_and(|r| r.eq_ignore_ascii_case(name))
-            {
-                found = Some(SqlValue::Integer(b.rowid));
-            }
+impl<'a> Binding<'a> {
+    /// Binds a stored record after checking it like `decode_record`.
+    fn record(meta: &'a TableMeta, rowid: i64, record: &'a [u8]) -> Result<Binding<'a>> {
+        Ok(Binding {
+            meta,
+            rowid,
+            row: Row::Record(RecordView::parse(record)?),
+        })
+    }
+
+    /// Column `i`. A column added after the record was written reads as
+    /// its default, as in `pad_row`.
+    fn column(&self, i: usize) -> Cow<'a, SqlValue> {
+        match self.row {
+            Row::Values(values) => Cow::Borrowed(&values[i]),
+            Row::Record(view) => match (view.get(i), &self.meta.info.columns[i].default) {
+                (Some(v), _) => Cow::Owned(v),
+                (None, Some(default)) => Cow::Borrowed(default),
+                (None, None) => Cow::Owned(SqlValue::Null),
+            },
         }
-        found.ok_or_else(|| SqlError::NoSuchColumn(name.into()))
+    }
+
+    /// The whole row, as `pad_row(decode_record(..))` builds it.
+    fn values(&self) -> Vec<SqlValue> {
+        match self.row {
+            Row::Values(values) => values.to_vec(),
+            Row::Record(view) => pad_row(&self.meta.info, view.values()),
+        }
+    }
+}
+
+/// The rows in scope: the enclosing levels' bindings, then this level's.
+#[derive(Clone, Copy, Default)]
+struct Env<'a> {
+    outer: Option<&'a Env<'a>>,
+    here: &'a [Binding<'a>],
+}
+
+impl<'a> Env<'a> {
+    /// `self` with one more, innermost, row in scope.
+    fn with(&'a self, row: &'a Binding<'a>) -> Env<'a> {
+        Env {
+            outer: Some(self),
+            here: std::slice::from_ref(row),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.here.len() + self.outer.map_or(0, Env::len)
+    }
+
+    /// Offers `f` each binding, outermost first, until it returns `Some`.
+    fn find_binding<T>(&self, f: &mut impl FnMut(&'a Binding<'a>) -> Option<T>) -> Option<T> {
+        if let Some(found) = self.outer.and_then(|o| o.find_binding(f)) {
+            return Some(found);
+        }
+        self.here.iter().find_map(f)
+    }
+
+    /// Every row in scope, outermost first, materialised.
+    fn values(&self) -> Vec<(i64, Vec<SqlValue>)> {
+        let mut out = self.outer.map_or_else(Vec::new, Env::values);
+        out.extend(self.here.iter().map(|b| (b.rowid, b.values())));
+        out
+    }
+
+    fn resolve(&self, table: Option<&str>, name: &str) -> Result<Cow<'a, SqlValue>> {
+        let single = self.len() == 1;
+        let mut found = None;
+        let early = self.find_binding(&mut |b| {
+            if table.is_some_and(|t| !b.meta.alias.eq_ignore_ascii_case(t)) {
+                return None;
+            }
+            let position = |col: &str| {
+                b.meta
+                    .info
+                    .columns
+                    .iter()
+                    .position(|c| c.name.eq_ignore_ascii_case(col))
+            };
+            if name.eq_ignore_ascii_case("rowid")
+                && position("rowid").is_none()
+                && (table.is_some() || single)
+            {
+                return Some(Ok(Cow::Owned(SqlValue::Integer(b.rowid))));
+            }
+            if let Some(i) = position(name) {
+                if found.is_some() {
+                    return Some(Err(SqlError::Misuse(format!("ambiguous column `{name}`"))));
+                }
+                found = Some((b, i));
+            }
+            None
+        });
+        if let Some(result) = early {
+            return result;
+        }
+        found
+            .map(|(b, i)| b.column(i))
+            .ok_or_else(|| SqlError::NoSuchColumn(name.into()))
     }
 }
 
@@ -71,24 +148,44 @@ impl Env {
 
 type AggResolver<'a> = &'a dyn Fn(&Expr) -> Option<SqlValue>;
 
-fn eval(sys: &mut System, expr: &Expr, env: &Env, aggs: Option<AggResolver>) -> Result<SqlValue> {
+/// Evaluates `expr`; a literal or a materialised column comes back
+/// borrowed.
+fn eval<'a>(
+    sys: &mut System,
+    expr: &'a Expr,
+    env: &Env<'a>,
+    aggs: Option<AggResolver>,
+) -> Result<Cow<'a, SqlValue>> {
     sys.charge(EVAL_COST);
     if let Some(resolver) = aggs {
         if let Some(v) = resolver(expr) {
-            return Ok(v);
+            return Ok(Cow::Owned(v));
         }
     }
     match expr {
-        Expr::Lit(v) => Ok(v.clone()),
+        Expr::Lit(v) => Ok(Cow::Borrowed(v)),
         Expr::Column { table, name } => env.resolve(table.as_deref(), name),
+        _ => eval_computed(sys, expr, env, aggs).map(Cow::Owned),
+    }
+}
+
+/// The operator nodes of [`eval`], which compute a fresh value.
+fn eval_computed<'a>(
+    sys: &mut System,
+    expr: &'a Expr,
+    env: &Env<'a>,
+    aggs: Option<AggResolver>,
+) -> Result<SqlValue> {
+    match expr {
+        Expr::Lit(_) | Expr::Column { .. } => unreachable!("eval returns these borrowed"),
         Expr::Unary(op, inner) => {
             let v = eval(sys, inner, env, aggs)?;
             match op {
-                UnOp::Neg => match v {
-                    SqlValue::Integer(i) => Ok(SqlValue::Integer(-i)),
+                UnOp::Neg => match *v {
+                    SqlValue::Integer(i) => Ok(SqlValue::Integer(i.wrapping_neg())),
                     SqlValue::Real(r) => Ok(SqlValue::Real(-r)),
                     SqlValue::Null => Ok(SqlValue::Null),
-                    other => Err(SqlError::Type(format!("cannot negate {other:?}"))),
+                    ref other => Err(SqlError::Type(format!("cannot negate {other:?}"))),
                 },
                 UnOp::Not => match v.truthy() {
                     None => Ok(SqlValue::Null),
@@ -108,13 +205,11 @@ fn eval(sys: &mut System, expr: &Expr, env: &Env, aggs: Option<AggResolver>) -> 
         } => {
             let v = eval(sys, expr, env, aggs)?;
             let p = eval(sys, pattern, env, aggs)?;
-            match (v, p) {
-                (SqlValue::Null, _) | (_, SqlValue::Null) => Ok(SqlValue::Null),
-                (v, p) => {
-                    let matched = like_match(&text_of(&p), &text_of(&v));
-                    Ok(SqlValue::Integer(i64::from(matched != *negated)))
-                }
+            if v.is_null() || p.is_null() {
+                return Ok(SqlValue::Null);
             }
+            let matched = like(&text_of(&p), &text_of(&v));
+            Ok(SqlValue::Integer(i64::from(matched != *negated)))
         }
         Expr::Between {
             expr,
@@ -164,19 +259,19 @@ fn eval(sys: &mut System, expr: &Expr, env: &Env, aggs: Option<AggResolver>) -> 
             }
             let mut vals = Vec::with_capacity(args.len());
             for a in args {
-                vals.push(eval(sys, a, env, aggs)?);
+                vals.push(eval(sys, a, env, aggs)?.into_owned());
             }
             scalar_fn(name, &vals, *star)
         }
     }
 }
 
-fn eval_binary(
+fn eval_binary<'a>(
     sys: &mut System,
     op: BinOp,
-    l: &Expr,
-    r: &Expr,
-    env: &Env,
+    l: &'a Expr,
+    r: &'a Expr,
+    env: &Env<'a>,
     aggs: Option<AggResolver>,
 ) -> Result<SqlValue> {
     // short-circuit three-valued AND/OR
@@ -284,11 +379,38 @@ fn numeric_of(v: &SqlValue) -> Option<f64> {
     }
 }
 
-fn text_of(v: &SqlValue) -> String {
+fn text_of(v: &SqlValue) -> Cow<'_, str> {
     match v {
-        SqlValue::Text(s) => s.clone(),
-        other => other.to_string(),
+        SqlValue::Text(s) => Cow::Borrowed(s),
+        other => Cow::Owned(other.to_string()),
     }
+}
+
+/// `LIKE`. A `'%lit%'` pattern whose literal holds no wildcard is an
+/// ASCII case-insensitive substring search; any other pattern goes to
+/// [`like_match`].
+fn like(pattern: &str, text: &str) -> bool {
+    match pattern.as_bytes() {
+        [b'%', lit @ .., b'%'] if !lit.iter().any(|&c| c == b'%' || c == b'_') => {
+            contains_ignore_ascii_case(text.as_bytes(), lit)
+        }
+        _ => like_match(pattern, text),
+    }
+}
+
+fn contains_ignore_ascii_case(text: &[u8], lit: &[u8]) -> bool {
+    let Some((first, rest)) = lit.split_first() else {
+        return true;
+    };
+    let Some(last) = text.len().checked_sub(lit.len()) else {
+        return false;
+    };
+    // compare the rest only where the first byte matches
+    let first = first.to_ascii_lowercase();
+    (0..=last).any(|i| {
+        text[i].to_ascii_lowercase() == first
+            && text[i + 1..i + lit.len()].eq_ignore_ascii_case(rest)
+    })
 }
 
 /// `LIKE` matcher: `%` any run, `_` one byte, ASCII case-insensitive.
@@ -426,8 +548,13 @@ fn scalar_fn(name: &str, vals: &[SqlValue], star: bool) -> Result<SqlValue> {
                 Some(v) => v,
                 None => return Ok(SqlValue::Null),
             };
+            // SQLite clamps the digit count to [0, 30]
             let digits = vals.get(1).and_then(SqlValue::as_i64).unwrap_or(0);
-            let f = 10f64.powi(digits as i32);
+            let f = 10f64.powi(digits.clamp(0, 30) as i32);
+            // from 2^52 up every double is a whole number: nothing to round
+            if (v * f).abs() >= 4_503_599_627_370_496.0 {
+                return Ok(SqlValue::Real(v));
+            }
             Ok(SqlValue::Real((v * f).round() / f))
         }
         other => Err(SqlError::Misuse(format!("unknown function {other}()"))),
@@ -449,7 +576,7 @@ fn is_aggregate_call(name: &str, args: &[Expr], star: bool) -> bool {
 
 /// Evaluates an expression with no row context (INSERT values, defaults).
 pub(crate) fn eval_const(_db: &Database, sys: &mut System, expr: &Expr) -> Result<SqlValue> {
-    eval(sys, expr, &Env::default(), None)
+    eval(sys, expr, &Env::default(), None).map(Cow::into_owned)
 }
 
 // ---------------------------------------------------------------------------
@@ -702,143 +829,145 @@ fn choose_access(
 // Row production
 // ---------------------------------------------------------------------------
 
-fn fetch_row(
-    db: &mut Database,
-    sys: &mut System,
-    info: &TableInfo,
-    rowid: i64,
-) -> Result<Option<Vec<SqlValue>>> {
-    let Some(value) = btree::get(sys, &mut db.pager, info.root, &encode_rowid(rowid))? else {
-        return Ok(None);
-    };
-    sys.charge(ROW_DECODE_COST);
-    Ok(Some(crate::db::pad_row(info, decode_record(&value)?)))
+impl Access {
+    /// Does the access walk the table's own B-tree in key order?
+    fn is_scan(&self) -> bool {
+        matches!(self, Access::FullScan | Access::RowidRange { .. })
+    }
 }
 
-/// Produces `(rowid, row)` pairs for one table access under the given
-/// outer environment.
-fn produce_rows(
+/// Takes each `(rowid, record bytes)` a table access yields.
+type RecordSink<'a> = &'a mut dyn FnMut(&mut Database, &mut System, i64, &[u8]) -> Result<()>;
+
+/// The row source: hands `each` the rowid and record bytes of every row
+/// one table access yields under the outer environment `env`, charging
+/// `ROW_DECODE_COST` per row.
+fn scan(
     db: &mut Database,
     sys: &mut System,
     meta: &TableMeta,
     access: &Access,
     env: &Env,
-) -> Result<Vec<(i64, Vec<SqlValue>)>> {
-    let info = meta.info.clone();
-    let mut out = Vec::new();
-    match access {
+    each: RecordSink,
+) -> Result<()> {
+    let root = meta.info.root;
+    // Scans read the table's leaves; probes collect rowids to look up.
+    let rowids: Vec<i64> = match access {
         Access::FullScan => {
-            let mut cur = btree::Cursor::seek(sys, &mut db.pager, info.root, None)?;
-            while let Some((key, value)) = cur.next(sys, &mut db.pager)? {
+            let mut cur = btree::Cursor::seek(sys, &mut db.pager, root, None)?;
+            while let Some((key, record)) = cur.next(sys, &mut db.pager)? {
                 sys.charge(ROW_DECODE_COST);
-                out.push((
-                    decode_rowid(&key)?,
-                    crate::db::pad_row(&info, decode_record(&value)?),
-                ));
+                each(db, sys, decode_rowid(key)?, record)?;
             }
-        }
-        Access::RowidEq(e) => {
-            let v = eval(sys, e, env, None)?;
-            if let Some(rowid) = v.as_i64() {
-                if let Some(row) = fetch_row(db, sys, &info, rowid)? {
-                    out.push((rowid, row));
-                }
-            }
+            return Ok(());
         }
         Access::RowidRange { lo, hi } => {
-            let lo_id = match lo {
-                Some(e) => eval(sys, e, env, None)?.as_i64(),
-                None => None,
+            let mut bound = |e: &Option<Expr>| -> Result<Option<i64>> {
+                match e {
+                    Some(e) => Ok(eval(sys, e, env, None)?.as_i64()),
+                    None => Ok(None),
+                }
             };
-            let hi_id = match hi {
-                Some(e) => eval(sys, e, env, None)?.as_i64(),
-                None => None,
-            };
+            let (lo_id, hi_id) = (bound(lo)?, bound(hi)?);
             let start = lo_id.map(encode_rowid);
             let mut cur = btree::Cursor::seek(
                 sys,
                 &mut db.pager,
-                info.root,
+                root,
                 start.as_ref().map(|s| s.as_slice()),
             )?;
-            while let Some((key, value)) = cur.next(sys, &mut db.pager)? {
-                let rowid = decode_rowid(&key)?;
+            while let Some((key, record)) = cur.next(sys, &mut db.pager)? {
+                let rowid = decode_rowid(key)?;
                 if hi_id.is_some_and(|h| rowid > h) {
                     break;
                 }
                 sys.charge(ROW_DECODE_COST);
-                out.push((rowid, crate::db::pad_row(&info, decode_record(&value)?)));
+                each(db, sys, rowid, record)?;
             }
+            return Ok(());
         }
+        Access::RowidEq(e) => eval(sys, e, env, None)?.as_i64().into_iter().collect(),
         Access::IndexEq { index, eq } => {
-            let mut vals = Vec::with_capacity(eq.len());
+            let mut prefix = Vec::new();
             for e in eq {
-                vals.push(eval(sys, e, env, None)?);
+                encode_key_value(&mut prefix, &*eval(sys, e, env, None)?);
             }
-            let prefix = encode_index_key(&vals, None);
             let mut cur = btree::Cursor::seek(sys, &mut db.pager, index.root, Some(&prefix))?;
             let mut rowids = Vec::new();
             while let Some((key, _)) = cur.next(sys, &mut db.pager)? {
                 if !key.starts_with(&prefix) {
                     break;
                 }
-                rowids.push(crate::record::index_key_rowid(&key)?);
+                rowids.push(index_key_rowid(key)?);
             }
-            for rowid in rowids {
-                if let Some(row) = fetch_row(db, sys, &info, rowid)? {
-                    out.push((rowid, row));
-                }
-            }
+            rowids
         }
         Access::IndexRange { index, lo, hi } => {
-            let lo_key = match lo {
-                Some(e) => {
-                    let v = eval(sys, e, env, None)?;
-                    Some(encode_index_key(std::slice::from_ref(&v), None))
-                }
-                None => None,
+            let mut bound = |e: &Option<Expr>| -> Result<Option<Vec<u8>>> {
+                let Some(e) = e else { return Ok(None) };
+                let mut key = Vec::new();
+                encode_key_value(&mut key, &*eval(sys, e, env, None)?);
+                Ok(Some(key))
             };
-            let hi_stop = match hi {
-                Some(e) => {
-                    let v = eval(sys, e, env, None)?;
-                    let mut k = encode_index_key(std::slice::from_ref(&v), None);
-                    k.push(0xFF); // all equal-value keys sort below this
-                    Some(k)
-                }
-                None => None,
-            };
+            let lo_key = bound(lo)?;
+            // all keys equal to `hi` sort below `hi` + 0xFF
+            let hi_stop = bound(hi)?.map(|mut k| {
+                k.push(0xFF);
+                k
+            });
             let mut cur = btree::Cursor::seek(sys, &mut db.pager, index.root, lo_key.as_deref())?;
             let mut rowids = Vec::new();
             while let Some((key, _)) = cur.next(sys, &mut db.pager)? {
-                if hi_stop
-                    .as_ref()
-                    .is_some_and(|h| key.as_slice() >= h.as_slice())
-                {
+                if hi_stop.as_deref().is_some_and(|h| key >= h) {
                     break;
                 }
-                rowids.push(crate::record::index_key_rowid(&key)?);
+                rowids.push(index_key_rowid(key)?);
             }
-            for rowid in rowids {
-                if let Some(row) = fetch_row(db, sys, &info, rowid)? {
-                    out.push((rowid, row));
-                }
-            }
+            rowids
+        }
+    };
+    for rowid in rowids {
+        if let Some(record) = btree::get(sys, &mut db.pager, root, &encode_rowid(rowid))? {
+            sys.charge(ROW_DECODE_COST);
+            each(db, sys, rowid, &record)?;
         }
     }
-    Ok(out)
+    Ok(())
 }
 
-fn binding_for(meta: &TableMeta, rowid: i64, row: Vec<SqlValue>) -> Binding {
-    Binding {
-        alias: meta.alias.clone(),
-        columns: meta.info.columns.iter().map(|c| c.name.clone()).collect(),
-        rowid_name: meta
-            .info
-            .rowid_alias
-            .map(|i| meta.info.columns[i].name.clone()),
-        row,
-        rowid,
+/// Binds each row of one table access over `env` and runs `f` in the
+/// extended environment.
+///
+/// With `stream` set, a scan runs `f` on each row as the cursor yields
+/// it, reading the record in the cursor's leaf copy. Otherwise the rows
+/// are collected first and `f` runs once the access is done, so `f`
+/// may use the pager without interleaving its calls with the access's.
+fn for_each_row(
+    db: &mut Database,
+    sys: &mut System,
+    meta: &TableMeta,
+    access: &Access,
+    env: &Env,
+    stream: bool,
+    f: &mut dyn FnMut(&mut Database, &mut System, &Env) -> Result<()>,
+) -> Result<()> {
+    if stream && access.is_scan() {
+        return scan(db, sys, meta, access, env, &mut |db, sys, rowid, record| {
+            let row = Binding::record(meta, rowid, record)?;
+            f(db, sys, &env.with(&row))
+        });
     }
+    let mut rows = Vec::new();
+    scan(db, sys, meta, access, env, &mut |_, _, rowid, record| {
+        RecordView::parse(record)?;
+        rows.push((rowid, record.to_vec()));
+        Ok(())
+    })?;
+    for (rowid, record) in &rows {
+        let row = Binding::record(meta, *rowid, record)?;
+        f(db, sys, &env.with(&row))?;
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1120,9 +1249,13 @@ pub(crate) fn run_select(
     }
 
     // Row collection via recursive nested-loop join with index probes.
-    let mut rows_out: Vec<Vec<SqlValue>> = Vec::new(); // plain mode
-    let mut groups: HashMap<Vec<u8>, (Vec<AggState>, Env)> = HashMap::new(); // agg mode
+    // Agg mode keeps each group's states and a snapshot of its first row.
+    // A B-tree map compares the short keys instead of hashing them on
+    // every row; `group_order` keeps the groups in first-seen order.
+    type Group = (Vec<AggState>, Vec<(i64, Vec<SqlValue>)>);
+    let mut groups: BTreeMap<Vec<u8>, Group> = BTreeMap::new();
     let mut group_order: Vec<Vec<u8>> = Vec::new();
+    let mut rows_out: Vec<Vec<SqlValue>> = Vec::new(); // plain mode
 
     // each conjunct is applied at the earliest depth where it is bound
     let depth_of = |c: &Expr, metas: &[TableMeta]| -> usize {
@@ -1142,17 +1275,21 @@ pub(crate) fn run_select(
         conjunct_depths: &'a [usize],
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Binds level `depth` of the join and recurses; `visit` sees each
+    /// row combination that passes every conjunct. The innermost level
+    /// streams its scan: `visit` only evaluates, so it adds no pager
+    /// calls between the cursor's. Outer levels collect their rows
+    /// because the levels inside them do use the pager.
     fn descend(
         w: &Walk,
         db: &mut Database,
         sys: &mut System,
         depth: usize,
-        env: &mut Env,
-        visit: &mut dyn FnMut(&mut Database, &mut System, &Env) -> Result<()>,
+        env: &Env,
+        visit: &mut dyn FnMut(&mut System, &Env) -> Result<()>,
     ) -> Result<()> {
         if depth == w.metas.len() {
-            return visit(db, sys, env);
+            return visit(sys, env);
         }
         let meta = &w.metas[depth];
         let outer: Vec<&TableMeta> = w.metas[..depth].iter().collect();
@@ -1165,22 +1302,23 @@ pub(crate) fn run_select(
             .collect();
         let indexes = db.indexes_of(&meta.info.name);
         let access = choose_access(meta, &indexes, &this_conjuncts, &outer);
-        let rows = produce_rows(db, sys, meta, &access, env)?;
-        for (rowid, row) in rows {
-            env.bindings.push(binding_for(meta, rowid, row));
-            let mut keep = true;
-            for c in &this_conjuncts {
-                if eval(sys, c, env, None)?.truthy() != Some(true) {
-                    keep = false;
-                    break;
+        let innermost = depth + 1 == w.metas.len();
+        for_each_row(
+            db,
+            sys,
+            meta,
+            &access,
+            env,
+            innermost,
+            &mut |db, sys, env| {
+                for c in &this_conjuncts {
+                    if eval(sys, c, env, None)?.truthy() != Some(true) {
+                        return Ok(());
+                    }
                 }
-            }
-            if keep {
-                descend(w, db, sys, depth + 1, env, visit)?;
-            }
-            env.bindings.pop();
-        }
-        Ok(())
+                descend(w, db, sys, depth + 1, env, visit)
+            },
+        )
     }
 
     let walk = Walk {
@@ -1188,66 +1326,45 @@ pub(crate) fn run_select(
         conjuncts: &conjuncts,
         conjunct_depths: &conjunct_depths,
     };
-    let mut env = Env::default();
+    let new_states = || -> Vec<AggState> {
+        agg_exprs
+            .iter()
+            .map(|e| {
+                let Expr::FnCall { name, .. } = e else {
+                    unreachable!()
+                };
+                AggState::new(name)
+            })
+            .collect()
+    };
 
     if aggregate_mode {
-        let group_by = sel.group_by.clone();
-        let agg_list = agg_exprs.clone();
-        descend(&walk, db, sys, 0, &mut env, &mut |_db, sys, env| {
-            let mut key_vals = Vec::with_capacity(group_by.len());
-            for g in &group_by {
-                key_vals.push(eval(sys, g, env, None)?);
+        descend(&walk, db, sys, 0, &Env::default(), &mut |sys, env| {
+            let mut key = Vec::new();
+            for g in &sel.group_by {
+                encode_key_value(&mut key, &*eval(sys, g, env, None)?);
             }
-            let key = encode_index_key(&key_vals, None);
-            if !groups.contains_key(&key) {
-                let states = agg_list
-                    .iter()
-                    .map(|e| {
-                        let Expr::FnCall { name, .. } = e else {
-                            unreachable!()
-                        };
-                        AggState::new(name)
-                    })
-                    .collect();
-                // snapshot a representative row environment for
-                // non-aggregate expressions
-                let snapshot = Env {
-                    bindings: env.bindings.clone(),
-                };
-                groups.insert(key.clone(), (states, snapshot));
+            let (states, _) = groups.entry(key).or_insert_with_key(|key| {
                 group_order.push(key.clone());
-            }
-            let (states, _) = groups.get_mut(&key).expect("just inserted");
-            // compute args first (immutable borrow of groups ends)
-            let mut feeds: Vec<Option<SqlValue>> = Vec::with_capacity(agg_list.len());
-            for e in &agg_list {
+                // a representative row for non-aggregate expressions
+                (new_states(), env.values())
+            });
+            for (state, e) in states.iter_mut().zip(&agg_exprs) {
                 let Expr::FnCall { args, star, .. } = e else {
                     unreachable!()
                 };
                 if *star {
-                    feeds.push(None);
+                    state.feed(None);
                 } else {
-                    feeds.push(Some(eval(sys, &args[0], env, None)?));
+                    state.feed(Some(&*eval(sys, &args[0], env, None)?));
                 }
-            }
-            for (s, f) in states.iter_mut().zip(&feeds) {
-                s.feed(f.as_ref());
             }
             Ok(())
         })?;
 
         // Zero-row aggregate without GROUP BY still yields one row.
         if groups.is_empty() && sel.group_by.is_empty() {
-            let states: Vec<AggState> = agg_exprs
-                .iter()
-                .map(|e| {
-                    let Expr::FnCall { name, .. } = e else {
-                        unreachable!()
-                    };
-                    AggState::new(name)
-                })
-                .collect();
-            groups.insert(Vec::new(), (states, Env::default()));
+            groups.insert(Vec::new(), (new_states(), Vec::new()));
             group_order.push(Vec::new());
         }
 
@@ -1269,31 +1386,40 @@ pub(crate) fn run_select(
                     .find(|(k, _)| k == e)
                     .map(|(_, v)| v.clone())
             };
+            let bindings: Vec<Binding> = metas
+                .iter()
+                .zip(snapshot)
+                .map(|(meta, (rowid, row))| Binding {
+                    meta,
+                    rowid: *rowid,
+                    row: Row::Values(row),
+                })
+                .collect();
+            let env = Env {
+                outer: None,
+                here: &bindings,
+            };
             if let Some(h) = &sel.having {
-                if eval(sys, h, snapshot, Some(&resolver))?.truthy() != Some(true) {
+                if eval(sys, h, &env, Some(&resolver))?.truthy() != Some(true) {
                     continue;
                 }
             }
             let mut row = Vec::with_capacity(items.len());
             for (e, _) in &items {
-                row.push(eval(sys, e, snapshot, Some(&resolver))?);
+                row.push(eval(sys, e, &env, Some(&resolver))?.into_owned());
             }
             // order-by keys appended for later sorting
             for (e, _) in &sel.order_by {
-                row.push(eval(sys, e, snapshot, Some(&resolver))?);
+                row.push(eval(sys, e, &env, Some(&resolver))?.into_owned());
             }
             rows_out.push(row);
         }
     } else {
-        let items_ref = &items;
-        let order_ref = &sel.order_by;
-        descend(&walk, db, sys, 0, &mut env, &mut |_db, sys, env| {
-            let mut row = Vec::with_capacity(items_ref.len() + order_ref.len());
-            for (e, _) in items_ref {
-                row.push(eval(sys, e, env, None)?);
-            }
-            for (e, _) in order_ref {
-                row.push(eval(sys, e, env, None)?);
+        descend(&walk, db, sys, 0, &Env::default(), &mut |sys, env| {
+            let mut row = Vec::with_capacity(items.len() + sel.order_by.len());
+            let keys = sel.order_by.iter().map(|(e, _)| e);
+            for e in items.iter().map(|(e, _)| e).chain(keys) {
+                row.push(eval(sys, e, env, None)?.into_owned());
             }
             rows_out.push(row);
             Ok(())
@@ -1344,38 +1470,49 @@ pub(crate) fn run_select(
 // UPDATE / DELETE
 // ---------------------------------------------------------------------------
 
+/// The rows UPDATE or DELETE acts on, materialised. The scan filters as
+/// it goes and keeps only the survivors; the caller mutates the table
+/// once the scan is done.
 fn matching_rows(
     db: &mut Database,
     sys: &mut System,
-    table: &str,
+    meta: &TableMeta,
     where_: Option<&Expr>,
 ) -> Result<Vec<(i64, Vec<SqlValue>)>> {
-    let info = db.table(table)?.clone();
-    let meta = TableMeta {
-        alias: info.name.clone(),
-        info,
-    };
     let mut conjuncts = Vec::new();
     if let Some(w) = where_ {
         split_conjuncts(w, &mut conjuncts);
     }
-    let indexes = db.indexes_of(table);
-    let access = choose_access(&meta, &indexes, &conjuncts, &[]);
-    let env = Env::default();
-    let candidates = produce_rows(db, sys, &meta, &access, &env)?;
+    let indexes = db.indexes_of(&meta.info.name);
+    let access = choose_access(meta, &indexes, &conjuncts, &[]);
     let mut out = Vec::new();
-    for (rowid, row) in candidates {
-        let mut env = Env::default();
-        env.bindings.push(binding_for(&meta, rowid, row.clone()));
-        let keep = match where_ {
-            Some(w) => eval(sys, w, &env, None)?.truthy() == Some(true),
-            None => true,
-        };
-        if keep {
-            out.push((rowid, row));
-        }
-    }
+    for_each_row(
+        db,
+        sys,
+        meta,
+        &access,
+        &Env::default(),
+        true,
+        &mut |_, sys, env| {
+            if let Some(w) = where_ {
+                if eval(sys, w, env, None)?.truthy() != Some(true) {
+                    return Ok(());
+                }
+            }
+            out.extend(env.values());
+            Ok(())
+        },
+    )?;
     Ok(out)
+}
+
+/// The table `name` as its own, unaliased, scope.
+fn table_meta(db: &Database, name: &str) -> Result<TableMeta> {
+    let info = db.table(name)?.clone();
+    Ok(TableMeta {
+        alias: info.name.clone(),
+        info,
+    })
 }
 
 /// Executes UPDATE.
@@ -1386,7 +1523,8 @@ pub(crate) fn run_update(
     sets: &[(String, Expr)],
     where_: Option<&Expr>,
 ) -> Result<QueryResult> {
-    let info = db.table(table)?.clone();
+    let meta = table_meta(db, table)?;
+    let info = &meta.info;
     let set_targets: Vec<usize> = sets
         .iter()
         .map(|(c, _)| {
@@ -1396,18 +1534,21 @@ pub(crate) fn run_update(
                 .ok_or_else(|| SqlError::NoSuchColumn(c.clone()))
         })
         .collect::<Result<_>>()?;
-    let victims = matching_rows(db, sys, table, where_)?;
-    let meta = TableMeta {
-        alias: info.name.clone(),
-        info: info.clone(),
-    };
+    let victims = matching_rows(db, sys, &meta, where_)?;
     let mut affected = 0u64;
     for (rowid, row) in victims {
-        let mut env = Env::default();
-        env.bindings.push(binding_for(&meta, rowid, row.clone()));
+        let binding = Binding {
+            meta: &meta,
+            rowid,
+            row: Row::Values(&row),
+        };
+        let env = Env {
+            outer: None,
+            here: std::slice::from_ref(&binding),
+        };
         let mut new_row = row.clone();
         for ((_, expr), &target) in sets.iter().zip(&set_targets) {
-            let v = eval(sys, expr, &env, None)?;
+            let v = eval(sys, expr, &env, None)?.into_owned();
             new_row[target] = info.columns[target].affinity.apply(v);
         }
         db.delete_row(sys, table, rowid)?;
@@ -1441,7 +1582,7 @@ pub(crate) fn run_delete(
     table: &str,
     where_: Option<&Expr>,
 ) -> Result<QueryResult> {
-    let victims = matching_rows(db, sys, table, where_)?;
+    let victims = matching_rows(db, sys, &table_meta(db, table)?, where_)?;
     let mut affected = 0u64;
     for (rowid, _) in victims {
         if db.delete_row(sys, table, rowid)? {
@@ -1456,7 +1597,7 @@ pub(crate) fn run_delete(
 
 #[cfg(test)]
 mod tests {
-    use super::like_match;
+    use super::{like, like_match};
     use cubicle_mpk::rng::Rng64;
     use std::time::{Duration, Instant};
 
@@ -1494,6 +1635,53 @@ mod tests {
             matched += usize::from(want);
         }
         assert!(matched > 1_000, "the seeded cases must include matches");
+    }
+
+    /// `'%lit%'` takes the substring search; it must agree with the
+    /// general matcher on flipped case, empty literals and multi-byte
+    /// (non-ASCII) characters, which fold only in their ASCII bytes.
+    #[test]
+    fn like_substring_path_matches_the_general_matcher() {
+        const CHARS: &[char] = &['a', 'B', 'c', 'é', 'É', 'ß', ' ', '0', 'İ'];
+        let mut rng = Rng64::new(0x5B57);
+        let mut matched = 0;
+        for _ in 0..20_000 {
+            let text: String = (0..rng.range_usize(0, 16))
+                .map(|_| *rng.pick(CHARS))
+                .collect();
+            let chars: Vec<char> = text.chars().collect();
+            let lit: String = if rng.range_usize(0, 4) == 0 || chars.is_empty() {
+                // a literal that need not occur in the text
+                (0..rng.range_usize(0, 4))
+                    .map(|_| *rng.pick(CHARS))
+                    .collect()
+            } else {
+                let from = rng.range_usize(0, chars.len());
+                let to = rng.range_usize(from, chars.len() + 1);
+                chars[from..to]
+                    .iter()
+                    .map(|&c| {
+                        if rng.flip() {
+                            c.to_ascii_uppercase()
+                        } else {
+                            c.to_ascii_lowercase()
+                        }
+                    })
+                    .collect()
+            };
+            let pattern = format!("%{lit}%");
+            let want = like_match(&pattern, &text);
+            assert_eq!(like(&pattern, &text), want, "{pattern:?} LIKE {text:?}");
+            matched += usize::from(want);
+        }
+        assert!(
+            matched > 10_000,
+            "the seeded cases must mostly match ({matched})"
+        );
+        assert!(like("%%", ""));
+        assert!(like("%É%", "xÉy"));
+        assert!(!like("%é%", "É"), "non-ASCII letters do not fold");
+        assert!(like("%a_c%", "xAbCx"), "`_` goes to the general matcher");
     }
 
     #[test]

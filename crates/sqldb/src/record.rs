@@ -74,67 +74,131 @@ pub fn encode_record(values: &[SqlValue]) -> Vec<u8> {
     out
 }
 
+/// One field of a record, borrowed from the record bytes.
+enum Field<'a> {
+    Null,
+    Int(i64),
+    Real(f64),
+    Text(&'a str),
+    Blob(&'a [u8]),
+}
+
+impl Field<'_> {
+    fn to_value(&self) -> SqlValue {
+        match *self {
+            Field::Null => SqlValue::Null,
+            Field::Int(i) => SqlValue::Integer(i),
+            Field::Real(r) => SqlValue::Real(r),
+            Field::Text(s) => SqlValue::Text(s.to_owned()),
+            Field::Blob(b) => SqlValue::Blob(b.to_vec()),
+        }
+    }
+}
+
+/// The `len` bytes at `pos`, advancing `pos` past them.
+fn take<'a>(buf: &'a [u8], pos: &mut usize, len: usize, what: &str) -> Result<&'a [u8]> {
+    let bytes = pos
+        .checked_add(len)
+        .and_then(|end| buf.get(*pos..end))
+        .ok_or_else(|| SqlError::Corrupt(format!("truncated {what}")))?;
+    *pos += len;
+    Ok(bytes)
+}
+
+/// Reads the field at `pos` and advances past it.
+fn next_field<'a>(buf: &'a [u8], pos: &mut usize) -> Result<Field<'a>> {
+    let tag = *buf
+        .get(*pos)
+        .ok_or_else(|| SqlError::Corrupt("truncated record".into()))?;
+    *pos += 1;
+    let word = |pos: &mut usize, what| -> Result<[u8; 8]> {
+        Ok(take(buf, pos, 8, what)?.try_into().expect("8 bytes"))
+    };
+    Ok(match tag {
+        TAG_NULL => Field::Null,
+        TAG_INT => Field::Int(i64::from_le_bytes(word(pos, "int")?)),
+        TAG_REAL => Field::Real(f64::from_le_bytes(word(pos, "real")?)),
+        TAG_TEXT => {
+            let len = read_varint(buf, pos)? as usize;
+            Field::Text(
+                std::str::from_utf8(take(buf, pos, len, "text")?)
+                    .map_err(|_| SqlError::Corrupt("invalid utf-8 in text".into()))?,
+            )
+        }
+        TAG_BLOB => {
+            let len = read_varint(buf, pos)? as usize;
+            Field::Blob(take(buf, pos, len, "blob")?)
+        }
+        t => return Err(SqlError::Corrupt(format!("unknown value tag {t}"))),
+    })
+}
+
+/// A record's column count and the offset of its first field.
+fn record_header(buf: &[u8]) -> Result<(usize, usize)> {
+    let mut pos = 0;
+    let n = read_varint(buf, &mut pos)? as usize;
+    if n > 65_536 {
+        return Err(SqlError::Corrupt("implausible column count".into()));
+    }
+    Ok((n, pos))
+}
+
 /// Deserialises a row of values.
 ///
 /// # Errors
 ///
 /// [`SqlError::Corrupt`] on malformed input.
 pub fn decode_record(buf: &[u8]) -> Result<Vec<SqlValue>> {
-    let mut pos = 0;
-    let n = read_varint(buf, &mut pos)? as usize;
-    if n > 65_536 {
-        return Err(SqlError::Corrupt("implausible column count".into()));
-    }
+    let (n, mut pos) = record_header(buf)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        let tag = *buf
-            .get(pos)
-            .ok_or_else(|| SqlError::Corrupt("truncated record".into()))?;
-        pos += 1;
-        let v = match tag {
-            TAG_NULL => SqlValue::Null,
-            TAG_INT => {
-                let bytes: [u8; 8] = buf
-                    .get(pos..pos + 8)
-                    .ok_or_else(|| SqlError::Corrupt("truncated int".into()))?
-                    .try_into()
-                    .expect("8 bytes");
-                pos += 8;
-                SqlValue::Integer(i64::from_le_bytes(bytes))
-            }
-            TAG_REAL => {
-                let bytes: [u8; 8] = buf
-                    .get(pos..pos + 8)
-                    .ok_or_else(|| SqlError::Corrupt("truncated real".into()))?
-                    .try_into()
-                    .expect("8 bytes");
-                pos += 8;
-                SqlValue::Real(f64::from_le_bytes(bytes))
-            }
-            TAG_TEXT => {
-                let len = read_varint(buf, &mut pos)? as usize;
-                let bytes = buf
-                    .get(pos..pos + len)
-                    .ok_or_else(|| SqlError::Corrupt("truncated text".into()))?;
-                pos += len;
-                SqlValue::Text(
-                    String::from_utf8(bytes.to_vec())
-                        .map_err(|_| SqlError::Corrupt("invalid utf-8 in text".into()))?,
-                )
-            }
-            TAG_BLOB => {
-                let len = read_varint(buf, &mut pos)? as usize;
-                let bytes = buf
-                    .get(pos..pos + len)
-                    .ok_or_else(|| SqlError::Corrupt("truncated blob".into()))?;
-                pos += len;
-                SqlValue::Blob(bytes.to_vec())
-            }
-            t => return Err(SqlError::Corrupt(format!("unknown value tag {t}"))),
-        };
-        out.push(v);
+        out.push(next_field(buf, &mut pos)?.to_value());
     }
     Ok(out)
+}
+
+/// A record checked exactly like [`decode_record`] whose columns are
+/// decoded only when read: a scan that filters on one column never
+/// builds the others.
+#[derive(Clone, Copy, Debug)]
+pub struct RecordView<'a> {
+    buf: &'a [u8],
+    len: usize,
+    /// Offset of the first field.
+    start: usize,
+}
+
+impl<'a> RecordView<'a> {
+    /// Checks every field of `buf`.
+    ///
+    /// # Errors
+    ///
+    /// The [`SqlError::Corrupt`] that [`decode_record`] returns for
+    /// `buf`.
+    pub fn parse(buf: &'a [u8]) -> Result<RecordView<'a>> {
+        let (len, start) = record_header(buf)?;
+        let mut pos = start;
+        for _ in 0..len {
+            next_field(buf, &mut pos)?;
+        }
+        Ok(RecordView { buf, len, start })
+    }
+
+    /// Column `i`, or `None` past the stored columns. (`parse` checked
+    /// every field, so reading one cannot fail.)
+    pub fn get(&self, i: usize) -> Option<SqlValue> {
+        self.fields().nth(i).map(|f| f.to_value())
+    }
+
+    /// Every stored column, as [`decode_record`] returns them.
+    pub fn values(&self) -> Vec<SqlValue> {
+        self.fields().map(|f| f.to_value()).collect()
+    }
+
+    fn fields(&self) -> impl Iterator<Item = Field<'a>> {
+        let (buf, mut pos) = (self.buf, self.start);
+        (0..self.len).map_while(move |_| next_field(buf, &mut pos).ok())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -239,6 +303,7 @@ pub fn index_key_rowid(key: &[u8]) -> Result<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cubicle_mpk::rng::Rng64;
     use std::cmp::Ordering;
 
     fn roundtrip(vals: Vec<SqlValue>) {
@@ -266,6 +331,82 @@ mod tests {
         assert!(decode_record(&[5]).is_err());
         assert!(decode_record(&[1, 99]).is_err());
         assert!(decode_record(&[1, TAG_INT, 1, 2]).is_err());
+    }
+
+    fn random_value(rng: &mut Rng64) -> SqlValue {
+        match rng.range_usize(0, 5) {
+            0 => SqlValue::Null,
+            1 => SqlValue::Integer(rng.next_u64() as i64),
+            2 => SqlValue::Real(f64::from_bits(rng.next_u64())),
+            3 => SqlValue::Text(
+                (0..rng.range_usize(0, 200))
+                    .map(|_| *rng.pick(&['a', 'Z', ' ', 'é', '€', '\0']))
+                    .collect(),
+            ),
+            _ => {
+                let len = rng.range_usize(0, 200);
+                SqlValue::Blob(rng.bytes(len))
+            }
+        }
+    }
+
+    /// The lazy view agrees with `decode_record` on every record: the
+    /// same columns, or the same `Corrupt` error, for valid, truncated,
+    /// byte-smashed, length-smashed and random records.
+    #[test]
+    fn record_view_matches_decode_record() {
+        let mut rng = Rng64::new(0x04EC_04D5);
+        let (mut valid, mut invalid) = (0, 0);
+        for case in 0..5_000 {
+            let values: Vec<SqlValue> = (0..rng.range_usize(0, 8))
+                .map(|_| random_value(&mut rng))
+                .collect();
+            let mut buf = encode_record(&values);
+            match rng.range_usize(0, 5) {
+                0 => {}
+                1 => buf.truncate(rng.range_usize(0, buf.len() + 1)),
+                2 => {
+                    let at = rng.range_usize(0, buf.len());
+                    buf[at] = rng.next_u32() as u8;
+                }
+                3 => {
+                    // a wild varint (count or length) somewhere
+                    let at = rng.range_usize(0, buf.len());
+                    let mut wild = Vec::new();
+                    write_varint(&mut wild, rng.next_u64() >> rng.range_u64(0, 64));
+                    buf.splice(at..(at + wild.len()).min(buf.len()), wild);
+                }
+                _ => {
+                    let len = rng.range_usize(0, 64);
+                    buf = rng.bytes(len);
+                }
+            }
+            let dbg = |v: &[SqlValue]| format!("{v:?}"); // NaN-safe equality
+            match (decode_record(&buf), RecordView::parse(&buf)) {
+                (Ok(want), Ok(view)) => {
+                    valid += 1;
+                    for i in 0..want.len() + 2 {
+                        let got: Vec<SqlValue> = view.get(i).into_iter().collect();
+                        let want: Vec<SqlValue> = want.get(i).cloned().into_iter().collect();
+                        assert_eq!(dbg(&got), dbg(&want), "case {case} column {i}");
+                    }
+                    assert_eq!(dbg(&view.values()), dbg(&want), "case {case}");
+                }
+                (Err(want), Err(got)) => {
+                    invalid += 1;
+                    assert!(
+                        matches!(want, SqlError::Corrupt(_)),
+                        "case {case}: {want:?}"
+                    );
+                    assert_eq!(format!("{got:?}"), format!("{want:?}"), "case {case}");
+                }
+                (want, got) => panic!("case {case}: decode {want:?} but view {got:?}"),
+            }
+        }
+        assert!(
+            valid > 1_000 && invalid > 1_000,
+            "{valid} valid, {invalid} invalid"
+        );
     }
 
     #[test]

@@ -508,8 +508,8 @@ fn run_case(mode: JournalMode, cache: usize, seed: u64, ops: usize, pages_every_
             8 => {
                 let mut cur = btree::Cursor::seek(&mut sa, &mut a, ra, Some(&key)).unwrap();
                 let mut got = Vec::new();
-                while let Some(entry) = cur.next(&mut sa, &mut a).unwrap() {
-                    got.push(entry);
+                while let Some((k, v)) = cur.next(&mut sa, &mut a).unwrap() {
+                    got.push((k.to_vec(), v.to_vec()));
                 }
                 let want = reference::scan(&mut sb, &mut b, rb, &key);
                 assert_eq!(got, want, "{what}: scan from key");

@@ -13,8 +13,9 @@ use cubicle_core::{IsolationMode, System};
 use cubicle_mpk::rng::Rng64;
 use cubicle_sqldb::btree::{self, MAX_KEY, MAX_LOCAL};
 use cubicle_sqldb::pager::{Pager, DB_PAGE};
+use cubicle_sqldb::record::encode_record;
 use cubicle_sqldb::storage::HostEnv;
-use cubicle_sqldb::SqlError;
+use cubicle_sqldb::{Database, SqlError, SqlValue};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn build(sys: &mut System, rng: &mut Rng64) -> (Pager, u32, Vec<Vec<u8>>) {
@@ -176,4 +177,79 @@ fn planted_cycles_are_reported() {
         btree::get(&mut sys, &mut pager, leaf, b"big"),
         Err(SqlError::Corrupt(_))
     ));
+}
+
+/// A smashed record on a table leaf makes every statement that scans it
+/// fail with [`SqlError::Corrupt`] — also when the smashed column is one
+/// the statement never reads — and never yields a wrong count.
+#[test]
+fn smashed_records_fail_statements_instead_of_miscounting() {
+    const ROWS: i64 = 300;
+    let mut sys = System::new(IsolationMode::Unikraft);
+    let mut db = Database::open(&mut sys, Box::new(HostEnv::new()), "/rows.db").unwrap();
+    db.execute(&mut sys, "CREATE TABLE t(a INTEGER, b TEXT)")
+        .unwrap();
+    let text = |i: i64| format!("row{i:04}-{}", "x".repeat(20));
+    db.execute(&mut sys, "BEGIN").unwrap();
+    for i in 0..ROWS {
+        db.execute(
+            &mut sys,
+            &format!("INSERT INTO t VALUES ({i}, '{}')", text(i)),
+        )
+        .unwrap();
+    }
+    db.execute(&mut sys, "COMMIT").unwrap();
+    let statements = [
+        "SELECT count(*) FROM t WHERE a >= 0",
+        "SELECT count(*) FROM t WHERE rowid BETWEEN 1 AND 1000",
+        "SELECT a FROM t WHERE a % 7 = 3 ORDER BY a",
+        "UPDATE t SET a = a + 1000 WHERE a >= 0",
+        "DELETE FROM t WHERE a < 0",
+    ];
+    let mut rng = Rng64::new(0x05A4_A5ED);
+    for case in 0..30 {
+        let i = rng.range_u64(0, ROWS as u64) as i64;
+        let record = encode_record(&[SqlValue::Integer(i), SqlValue::Text(text(i))]);
+        let pager = db.pager_mut();
+        let (pno, at) = (1..pager.page_count())
+            .find_map(|pno| {
+                let page = pager.read_page(&mut sys, pno).unwrap();
+                let at = page.windows(record.len()).position(|w| w == record)?;
+                Some((pno, at))
+            })
+            .expect("the row's record is on a leaf");
+        let valid = pager.read_page(&mut sys, pno).unwrap();
+        // the record is: count, int tag + 8 bytes, text tag, length, text
+        let mut page = valid.clone();
+        match case % 3 {
+            0 => page[at + 10] = 9,                  // unknown value tag
+            1 => page[at + 11] = 0x7F,               // text runs past the record
+            _ => page[at + 12 + (case % 20)] = 0xFF, // invalid utf-8
+        }
+        let put = |sys: &mut System, db: &mut Database, image: &[u8]| {
+            let pager = db.pager_mut();
+            pager.begin(sys).unwrap();
+            pager.write_page(sys, pno, image).unwrap();
+            pager.commit(sys).unwrap();
+        };
+        put(&mut sys, &mut db, &page);
+        for sql in statements {
+            match db.execute(&mut sys, sql) {
+                Err(SqlError::Corrupt(_)) => {}
+                other => panic!("case {case}, row {i}: `{sql}` gave {other:?}"),
+            }
+        }
+        put(&mut sys, &mut db, &valid);
+        let rows = db
+            .query(&mut sys, "SELECT count(*), sum(a) FROM t WHERE a >= 0")
+            .unwrap();
+        assert_eq!(
+            rows[0],
+            vec![
+                SqlValue::Integer(ROWS),
+                SqlValue::Integer(ROWS * (ROWS - 1) / 2)
+            ],
+            "case {case}: a failed statement changed the table"
+        );
+    }
 }

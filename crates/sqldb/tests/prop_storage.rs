@@ -99,7 +99,7 @@ fn btree_agrees_with_model() {
         let mut cur = btree::Cursor::seek(&mut s, &mut pager, root, None).unwrap();
         let mut scanned = Vec::new();
         while let Some((k, v)) = cur.next(&mut s, &mut pager).unwrap() {
-            scanned.push((k, v));
+            scanned.push((k.to_vec(), v.to_vec()));
         }
         let expect: Vec<(Vec<u8>, Vec<u8>)> = model.into_iter().collect();
         assert_eq!(scanned, expect, "case {case}");

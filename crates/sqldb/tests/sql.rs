@@ -543,6 +543,48 @@ fn scalar_functions() {
 }
 
 #[test]
+fn round_clamps_its_digit_count() {
+    let (mut sys, mut db) = setup();
+    // SQLite clamps the digit count to [0, 30]: a huge count keeps the
+    // value, a negative one rounds to an integer
+    let rows = db
+        .query(
+            &mut sys,
+            "SELECT round(1.5, 99999999999), round(1.25, -3), round(2.5, -99999999999), \
+             round(0.123456789, 30), round(-1.5)",
+        )
+        .unwrap();
+    assert_eq!(
+        rows[0],
+        vec![
+            SqlValue::Real(1.5),
+            SqlValue::Real(1.0),
+            SqlValue::Real(3.0),
+            SqlValue::Real(0.123456789),
+            SqlValue::Real(-2.0),
+        ]
+    );
+}
+
+#[test]
+fn negating_the_smallest_integer_wraps() {
+    let (mut sys, mut db) = setup();
+    // like the wrapping `+ - *` and `abs`, not a panic
+    let rows = db
+        .query(&mut sys, "SELECT -(-9223372036854775807 - 1)")
+        .unwrap();
+    assert_eq!(rows[0], vec![SqlValue::Integer(i64::MIN)]);
+    db.execute(&mut sys, "CREATE TABLE t(v INTEGER)").unwrap();
+    db.execute(&mut sys, "INSERT INTO t VALUES (-9223372036854775807 - 1)")
+        .unwrap();
+    let rows = db.query(&mut sys, "SELECT -v, -(-v) FROM t").unwrap();
+    assert_eq!(
+        rows[0],
+        vec![SqlValue::Integer(i64::MIN), SqlValue::Integer(i64::MIN)]
+    );
+}
+
+#[test]
 fn expressions_in_select() {
     let (mut sys, mut db) = setup();
     let rows = db
