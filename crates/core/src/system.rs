@@ -22,7 +22,7 @@ use crate::error::{CubicleError, Result};
 use crate::ids::{CubicleId, EntryId, WindowId};
 use crate::ledger::LedgerRow;
 use crate::metrics::Metrics;
-use crate::mode::IsolationMode;
+use crate::mode::{IpcCostModel, IsolationMode};
 use crate::race::{RaceDetector, RaceObject, RaceReport};
 use crate::span::{CycleAttribution, SpanFrame, SpanProfiler, SpanRecord};
 use crate::stats::SysStats;
@@ -115,6 +115,23 @@ struct Frame {
     /// multi-core re-entrancy pool handed one out (`None` on single-core
     /// runs, merged calls and non-MPK modes — the primary stack then).
     stack_slot: Option<usize>,
+}
+
+/// How control crosses one cross-call boundary: the per-mode policy of
+/// the crossing dispatch ([`System::cross_call`]), decided once per
+/// dispatch.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Crossing {
+    /// Caller and callee share a cubicle (merged components, Fig. 9a): a
+    /// plain call, no monitor boundary.
+    Direct,
+    /// Unikraft: the boundary tax and a plain call.
+    Call,
+    /// IPC baselines: one marshalled message round trip per dispatch.
+    Message(IpcCostModel),
+    /// CubicleOS modes: the trampoline each way, with a PKRU round trip
+    /// when MPK is active.
+    Trampoline { mpk: bool },
 }
 
 /// Everything the loader needs to replay one [`System::install`] during a
@@ -1762,12 +1779,15 @@ impl System {
     /// (Unikraft), the trampoline + PKRU switches (CubicleOS modes), or a
     /// marshalled message round trip (IPC baselines). The callee runs
     /// with its own cubicle's PKRU permission set; any access it makes to
-    /// the caller's buffers goes through trap-and-map.
+    /// the caller's buffers goes through trap-and-map. This is the
+    /// one-element case of the dispatch behind
+    /// [`System::cross_call_batch`].
     ///
     /// # Errors
     ///
     /// [`CubicleError::NoSuchEntry`] for an unregistered entry,
-    /// [`CubicleError::ReentrantCall`] for nested A→B→A calls,
+    /// [`CubicleError::ReentrantCall`] for nested A→B→A calls (the
+    /// crossing still returns, so the caller resumes with its own PKRU),
     /// [`CubicleError::Quarantined`] when the callee (or the caller
     /// itself) has been quarantined, plus anything the callee itself
     /// returns. With fault containment enabled
@@ -1775,6 +1795,69 @@ impl System {
     /// *not* surface as `Err`: the monitor unwinds them and the call
     /// returns `Ok(Value::I64(-errno))` at the first healthy boundary.
     pub fn cross_call(&mut self, entry: EntryId, args: &[Value]) -> Result<Value> {
+        self.dispatch(entry, std::slice::from_ref(&args), None)
+    }
+
+    /// Convenience: resolve by name and call.
+    ///
+    /// # Errors
+    ///
+    /// See [`System::entry`] and [`System::cross_call`].
+    pub fn call(&mut self, name: &str, args: &[Value]) -> Result<Value> {
+        let entry = self.entry(name)?;
+        self.cross_call(entry, args)
+    }
+
+    /// Dispatches a *batch* of invocations of `entry` under a single
+    /// trampoline crossing: one boundary tax, one trampoline, one PKRU
+    /// round-trip in and out (one vectored message under the IPC
+    /// baseline), while per-invocation work — the call itself,
+    /// stack-argument copies, everything the callee does — is still
+    /// charged per element. Batch and [`System::cross_call`] are one
+    /// dispatch, so a 1-element batch costs exactly what `cross_call`
+    /// does, cycle for cycle.
+    ///
+    /// Elements execute in order, each under `cross_call`'s rules. The
+    /// first element that fails, or whose callee got quarantined while it
+    /// ran, is the last one dispatched: its outcome goes through the same
+    /// containment unwind as an unbatched call. Without fault containment
+    /// an error is returned unchanged; with containment the returned
+    /// vector ends with that element's `Value::I64(-errno)` (`-ETIMEDOUT`
+    /// for a watchdog victim), so callers see a short count plus the
+    /// errno, writev-style.
+    ///
+    /// The batch appears as one edge crossing in [`SysStats`]
+    /// (`cross_calls`, the per-edge histogram, one span when tracing);
+    /// `batch_dispatches` / `batched_calls` count the amortisation.
+    /// Components should take this path only when
+    /// [`System::batching_enabled`] says the deployment opted in — the
+    /// gate is what keeps feature-off runs bit-identical.
+    ///
+    /// # Errors
+    ///
+    /// See [`System::cross_call`]; an empty batch is a no-op.
+    pub fn cross_call_batch(&mut self, entry: EntryId, batch: &[&[Value]]) -> Result<Vec<Value>> {
+        if batch.is_empty() {
+            return Ok(Vec::new());
+        }
+        let mut values = Vec::with_capacity(batch.len());
+        let last = self.dispatch(entry, batch, Some(&mut values))?;
+        values.push(last);
+        Ok(values)
+    }
+
+    /// The one crossing path behind [`System::cross_call`] (one element,
+    /// `values` is `None`) and [`System::cross_call_batch`] (`values`
+    /// collects the value of every element but the last). Everything
+    /// except the per-element work happens once per dispatch. Returns the
+    /// outcome of the last element dispatched, after the containment
+    /// unwind.
+    fn dispatch(
+        &mut self,
+        entry: EntryId,
+        batch: &[&[Value]],
+        mut values: Option<&mut Vec<Value>>,
+    ) -> Result<Value> {
         self.watchdog_check()?;
         let desc = self
             .entries
@@ -1791,7 +1874,12 @@ impl System {
         if caller != callee && self.cubicles[caller.index()].is_quarantined() {
             return Err(CubicleError::Quarantined { cubicle: caller });
         }
+        // One crossing: a whole batch is one edge sample and one span.
         self.stats.record_edge(caller, callee);
+        if values.is_some() {
+            self.stats.batch_dispatches += 1;
+            self.stats.batched_calls += batch.len() as u64;
+        }
 
         // Trace enter/exit around the whole dispatch so every recorded
         // Enter has a matching Exit — on error paths too — and the
@@ -1817,7 +1905,110 @@ impl System {
         } else {
             None
         };
-        let result = self.cross_call_inner(func, caller, callee, slot, stack_bytes, args);
+
+        let crossing = match self.mode {
+            _ if caller == callee => Crossing::Direct,
+            IsolationMode::Unikraft => Crossing::Call,
+            IsolationMode::Ipc(m) => Crossing::Message(m),
+            mode => Crossing::Trampoline {
+                mpk: mode.mpk_active(),
+            },
+        };
+        // Crossing in. The first element's share is charged inside it,
+        // after the trampoline and before the PKRU switch into the callee,
+        // which keeps the unbatched call's charge order (and so its trace
+        // timestamps and watchdog deadline) fixed.
+        let trampoline = self.machine.cost_model().trampoline;
+        if crossing != Crossing::Direct {
+            self.machine.charge(self.boundary_tax);
+        }
+        match crossing {
+            Crossing::Message(m) => {
+                // One vectored message each way carrying every element.
+                let bytes: usize = batch
+                    .iter()
+                    .flat_map(|args| args.iter())
+                    .map(|v| v.bytes_in() + v.bytes_out())
+                    .sum();
+                self.machine.charge(m.fixed + m.per_byte * bytes as u64);
+                self.stats.ipc_msgs += 2; // request + reply
+                self.stats.ipc_bytes += bytes as u64;
+            }
+            Crossing::Trampoline { .. } => self.machine.charge(trampoline),
+            Crossing::Direct | Crossing::Call => {}
+        }
+        self.charge_element(crossing, caller, callee, stack_bytes);
+        if crossing == (Crossing::Trampoline { mpk: true }) {
+            self.ensure_bound(callee);
+            // Guard page enters the monitor domain, trampoline then drops
+            // to the callee's permission set.
+            self.machine.set_pkru(Pkru::allow_all());
+            let pkru = self.pkru_for(callee);
+            self.machine.set_pkru(pkru);
+        }
+
+        let result = match self.components[slot].take() {
+            None => Err(CubicleError::ReentrantCall(callee)),
+            Some(mut comp) => {
+                // Merged components share one cubicle and one stack; the
+                // watchdog budget applies to the cubicle as a whole, not
+                // to intra-cubicle calls.
+                let direct = crossing == Crossing::Direct;
+                let (stack_slot, deadline) = if direct {
+                    (None, None)
+                } else {
+                    self.machine.note_cross_call();
+                    let stack_slot = self.stack_acquire(callee);
+                    let deadline = self
+                        .budget_for(caller, callee)
+                        .map(|b| self.machine.now().saturating_add(b));
+                    (stack_slot, deadline)
+                };
+                self.call_stack.push(Frame {
+                    cubicle: callee,
+                    deadline,
+                    stack_slot,
+                });
+                if deadline.is_some() {
+                    self.refresh_cycle_alarm();
+                }
+                let mut rest = batch[1..].iter();
+                let mut args = batch[0];
+                let result = loop {
+                    let result = func(self, comp.as_mut(), args);
+                    match (result, rest.next(), values.as_deref_mut()) {
+                        // A callee quarantined mid-element ends the batch:
+                        // an unbatched call after it would be refused.
+                        (Ok(v), Some(next), Some(values))
+                            if !self.cubicles[callee.index()].is_quarantined() =>
+                        {
+                            values.push(v);
+                            self.charge_element(crossing, caller, callee, stack_bytes);
+                            args = next;
+                        }
+                        (result, ..) => break result,
+                    }
+                };
+                self.call_stack.pop();
+                self.stack_release(callee, stack_slot);
+                if !direct && self.watchdog_armed() {
+                    self.refresh_cycle_alarm();
+                }
+                self.components[slot] = Some(comp);
+                result
+            }
+        };
+        // Crossing out, on every outcome — a refused re-entry included, so
+        // the caller always resumes under its own PKRU.
+        if let Crossing::Trampoline { mpk } = crossing {
+            self.machine.charge(trampoline);
+            if mpk {
+                self.machine.set_pkru(Pkru::allow_all());
+                let pkru = self.pkru_for(self.current_cubicle());
+                self.machine.set_pkru(pkru);
+            }
+        }
+
         if let Some((t0, span)) = t0 {
             let cycles = self.machine.now() - t0;
             self.pump_machine_events();
@@ -1836,6 +2027,39 @@ impl System {
             self.contain_at_boundary(caller, callee, result)
         } else {
             result
+        }
+    }
+
+    /// Charges one element's share of a crossing: the call itself and,
+    /// through a trampoline, the copy of stack-resident arguments between
+    /// the per-cubicle stacks (read + write). An IPC message already
+    /// carries every element.
+    fn charge_element(
+        &mut self,
+        crossing: Crossing,
+        caller: CubicleId,
+        callee: CubicleId,
+        stack_bytes: usize,
+    ) {
+        let cost = self.machine.cost_model();
+        let (call, copy) = (cost.call, 2 * cost.mem_access(stack_bytes));
+        match crossing {
+            Crossing::Message(_) => {}
+            Crossing::Direct | Crossing::Call => self.machine.charge(call),
+            Crossing::Trampoline { .. } => {
+                self.machine.charge(call);
+                if stack_bytes > 0 {
+                    self.machine.charge(copy);
+                    self.stats.stack_bytes_copied += stack_bytes as u64;
+                    if self.tracer.is_some() {
+                        self.trace_push(TraceEvent::StackCopy {
+                            caller,
+                            callee,
+                            bytes: stack_bytes,
+                        });
+                    }
+                }
+            }
         }
     }
 
@@ -1934,367 +2158,6 @@ impl System {
     /// Crash-recovery records (bounded), one line per replay / batch.
     pub fn recovery_log(&self) -> &[String] {
         &self.recovery_log
-    }
-
-    fn cross_call_inner(
-        &mut self,
-        func: EntryFn,
-        caller: CubicleId,
-        callee: CubicleId,
-        slot: usize,
-        stack_bytes: usize,
-        args: &[Value],
-    ) -> Result<Value> {
-        let cost = *self.machine.cost_model();
-        if caller == callee {
-            // Components merged into one cubicle (Fig. 9a) call each
-            // other directly: no trampoline, no PKRU switch, no message.
-            self.machine.charge(cost.call);
-            let mut comp = self.components[slot]
-                .take()
-                .ok_or(CubicleError::ReentrantCall(callee))?;
-            // Merged components share one cubicle; the watchdog budget
-            // applies to the cubicle as a whole, not intra-cubicle calls.
-            self.call_stack.push(Frame {
-                cubicle: callee,
-                deadline: None,
-                stack_slot: None,
-            });
-            let result = func(self, comp.as_mut(), args);
-            self.call_stack.pop();
-            self.components[slot] = Some(comp);
-            return result;
-        }
-        self.machine.charge(self.boundary_tax);
-        match self.mode {
-            IsolationMode::Unikraft => {
-                self.machine.charge(cost.call);
-            }
-            IsolationMode::Ipc(m) => {
-                let bytes: usize = args.iter().map(|v| v.bytes_in() + v.bytes_out()).sum();
-                self.machine.charge(m.fixed + m.per_byte * bytes as u64);
-                self.stats.ipc_msgs += 2; // request + reply
-                self.stats.ipc_bytes += bytes as u64;
-            }
-            _ => {
-                self.machine.charge(cost.trampoline + cost.call);
-                if stack_bytes > 0 {
-                    // The trampoline copies stack-resident arguments
-                    // between the per-cubicle stacks (read + write).
-                    self.machine.charge(2 * cost.mem_access(stack_bytes));
-                    self.stats.stack_bytes_copied += stack_bytes as u64;
-                    if self.tracer.is_some() {
-                        self.trace_push(TraceEvent::StackCopy {
-                            caller,
-                            callee,
-                            bytes: stack_bytes,
-                        });
-                    }
-                }
-                if self.mode.mpk_active() {
-                    self.ensure_bound(callee);
-                    // Guard page enters the monitor domain, trampoline
-                    // then drops to the callee's permission set.
-                    self.machine.set_pkru(Pkru::allow_all());
-                    let pkru = self.pkru_for(callee);
-                    self.machine.set_pkru(pkru);
-                }
-            }
-        }
-
-        let mut comp = self.components[slot]
-            .take()
-            .ok_or(CubicleError::ReentrantCall(callee))?;
-        self.machine.note_cross_call();
-        let stack_slot = self.stack_acquire(callee);
-        let deadline = self
-            .budget_for(caller, callee)
-            .map(|b| self.machine.now().saturating_add(b));
-        self.call_stack.push(Frame {
-            cubicle: callee,
-            deadline,
-            stack_slot,
-        });
-        if deadline.is_some() {
-            self.refresh_cycle_alarm();
-        }
-        let result = func(self, comp.as_mut(), args);
-        self.call_stack.pop();
-        self.stack_release(callee, stack_slot);
-        if self.watchdog_armed() {
-            self.refresh_cycle_alarm();
-        }
-        self.components[slot] = Some(comp);
-
-        match self.mode {
-            IsolationMode::Unikraft | IsolationMode::Ipc(_) => {}
-            _ => {
-                self.machine.charge(cost.trampoline);
-                if self.mode.mpk_active() {
-                    self.machine.set_pkru(Pkru::allow_all());
-                    let pkru = self.pkru_for(self.current_cubicle());
-                    self.machine.set_pkru(pkru);
-                }
-            }
-        }
-        result
-    }
-
-    /// Convenience: resolve by name and call.
-    ///
-    /// # Errors
-    ///
-    /// See [`System::entry`] and [`System::cross_call`].
-    pub fn call(&mut self, name: &str, args: &[Value]) -> Result<Value> {
-        let entry = self.entry(name)?;
-        self.cross_call(entry, args)
-    }
-
-    /// Dispatches a *batch* of invocations of `entry` under a single
-    /// trampoline crossing: one boundary tax, one trampoline, one PKRU
-    /// round-trip in and out (one vectored message under the IPC
-    /// baseline), while per-invocation work — the call itself,
-    /// stack-argument copies, everything the callee does — is still
-    /// charged per element. A 1-element batch costs exactly what
-    /// [`System::cross_call`] does.
-    ///
-    /// Fault attribution matches the unbatched path: elements execute in
-    /// order and the first failing element aborts the batch with the
-    /// same quarantine blast radius its unbatched call would have had.
-    /// Without fault containment that element's error is returned
-    /// unchanged; with containment the monitor unwinds it exactly like
-    /// [`System::cross_call`] and the returned vector ends with the
-    /// faulting element's `Value::I64(-errno)`, so callers see a short
-    /// count plus the errno, writev-style.
-    ///
-    /// The batch appears as one edge crossing in [`SysStats`]
-    /// (`cross_calls`, the per-edge histogram, one span when tracing);
-    /// `batch_dispatches` / `batched_calls` count the amortisation.
-    /// Components should take this path only when
-    /// [`System::batching_enabled`] says the deployment opted in — the
-    /// gate is what keeps feature-off runs bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// See [`System::cross_call`]; an empty batch is a no-op.
-    pub fn cross_call_batch(&mut self, entry: EntryId, batch: &[&[Value]]) -> Result<Vec<Value>> {
-        if batch.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.watchdog_check()?;
-        let desc = self
-            .entries
-            .get(entry.index())
-            .ok_or_else(|| CubicleError::NoSuchEntry(format!("{entry}")))?;
-        let (func, callee, slot, stack_bytes) =
-            (desc.func, desc.cubicle, desc.slot, desc.stack_arg_bytes);
-        let caller = self.current_cubicle();
-        if self.cubicles[callee.index()].is_quarantined() {
-            return Err(CubicleError::Quarantined { cubicle: callee });
-        }
-        if caller != callee && self.cubicles[caller.index()].is_quarantined() {
-            return Err(CubicleError::Quarantined { cubicle: caller });
-        }
-        // One crossing: the whole batch is one edge sample and one span.
-        self.stats.record_edge(caller, callee);
-        self.stats.batch_dispatches += 1;
-        self.stats.batched_calls += batch.len() as u64;
-
-        let t0 = if self.tracer.is_some() {
-            let t0 = self.machine.now();
-            self.pump_machine_events();
-            let core = self.machine.current_core();
-            let (span, parent) = {
-                let tracer = self.tracer.as_mut().expect("checked above");
-                let span = tracer.next_span;
-                tracer.next_span += 1;
-                (span, tracer.current_span(core))
-            };
-            self.trace_push(TraceEvent::CrossCallEnter {
-                span,
-                parent,
-                caller,
-                callee,
-                entry,
-            });
-            Some((t0, span))
-        } else {
-            None
-        };
-        let (mut values, status) =
-            self.cross_call_batch_inner(func, caller, callee, slot, stack_bytes, batch);
-        if let Some((t0, span)) = t0 {
-            let cycles = self.machine.now() - t0;
-            self.pump_machine_events();
-            self.trace_push(TraceEvent::CrossCallExit {
-                span,
-                caller,
-                callee,
-                entry,
-                cycles,
-            });
-            if let Some(tracer) = &mut self.tracer {
-                tracer.metrics.record_call(caller, callee, entry, cycles);
-            }
-        }
-        match status {
-            Ok(()) => Ok(values),
-            Err(e) if self.fault_containment => {
-                // Same unwind machinery as the unbatched path; a
-                // contained errno terminates the batch writev-style.
-                match self.contain_at_boundary(caller, callee, Err(e)) {
-                    Ok(v) => {
-                        values.push(v);
-                        Ok(values)
-                    }
-                    Err(e) => Err(e),
-                }
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// The dispatch half of [`System::cross_call_batch`]: charges the
-    /// crossing once, then runs the elements in order. Returns the
-    /// values accumulated before the terminal status.
-    fn cross_call_batch_inner(
-        &mut self,
-        func: EntryFn,
-        caller: CubicleId,
-        callee: CubicleId,
-        slot: usize,
-        stack_bytes: usize,
-        batch: &[&[Value]],
-    ) -> (Vec<Value>, Result<()>) {
-        let cost = *self.machine.cost_model();
-        let mut values = Vec::with_capacity(batch.len());
-        if caller == callee {
-            // Merged components: plain calls, batching buys nothing.
-            let mut comp = match self.components[slot].take() {
-                Some(c) => c,
-                None => return (values, Err(CubicleError::ReentrantCall(callee))),
-            };
-            self.call_stack.push(Frame {
-                cubicle: callee,
-                deadline: None,
-                stack_slot: None,
-            });
-            let mut status = Ok(());
-            for args in batch {
-                self.machine.charge(cost.call);
-                match func(self, comp.as_mut(), args) {
-                    Ok(v) => values.push(v),
-                    Err(e) => {
-                        status = Err(e);
-                        break;
-                    }
-                }
-            }
-            self.call_stack.pop();
-            self.components[slot] = Some(comp);
-            return (values, status);
-        }
-        self.machine.charge(self.boundary_tax);
-        match self.mode {
-            IsolationMode::Unikraft => {}
-            IsolationMode::Ipc(m) => {
-                // One vectored message each way carrying every element.
-                let bytes: usize = batch
-                    .iter()
-                    .flat_map(|args| args.iter())
-                    .map(|v| v.bytes_in() + v.bytes_out())
-                    .sum();
-                self.machine.charge(m.fixed + m.per_byte * bytes as u64);
-                self.stats.ipc_msgs += 2;
-                self.stats.ipc_bytes += bytes as u64;
-            }
-            _ => {
-                // The amortisation: trampoline + PKRU round-trip once.
-                self.machine.charge(cost.trampoline);
-                if self.mode.mpk_active() {
-                    self.ensure_bound(callee);
-                    self.machine.set_pkru(Pkru::allow_all());
-                    let pkru = self.pkru_for(callee);
-                    self.machine.set_pkru(pkru);
-                }
-            }
-        }
-
-        let mut comp = match self.components[slot].take() {
-            Some(c) => c,
-            None => return (values, Err(CubicleError::ReentrantCall(callee))),
-        };
-        self.machine.note_cross_call();
-        let stack_slot = self.stack_acquire(callee);
-        let deadline = self
-            .budget_for(caller, callee)
-            .map(|b| self.machine.now().saturating_add(b));
-        self.call_stack.push(Frame {
-            cubicle: callee,
-            deadline,
-            stack_slot,
-        });
-        if deadline.is_some() {
-            self.refresh_cycle_alarm();
-        }
-        let mut status = Ok(());
-        for args in batch {
-            // Per-element work is not amortised away.
-            match self.mode {
-                IsolationMode::Ipc(_) => {}
-                IsolationMode::Unikraft => self.machine.charge(cost.call),
-                _ => {
-                    self.machine.charge(cost.call);
-                    if stack_bytes > 0 {
-                        self.machine.charge(2 * cost.mem_access(stack_bytes));
-                        self.stats.stack_bytes_copied += stack_bytes as u64;
-                        if self.tracer.is_some() {
-                            self.trace_push(TraceEvent::StackCopy {
-                                caller,
-                                callee,
-                                bytes: stack_bytes,
-                            });
-                        }
-                    }
-                }
-            }
-            match func(self, comp.as_mut(), args) {
-                Ok(v) => {
-                    if self.cubicles[callee.index()].is_quarantined() {
-                        // Same rule as `contain_at_boundary`: a cubicle
-                        // quarantined mid-call does not get its Ok
-                        // trusted, and later elements could not have
-                        // been dispatched into it anyway.
-                        status = Err(CubicleError::Quarantined { cubicle: callee });
-                        break;
-                    }
-                    values.push(v);
-                }
-                Err(e) => {
-                    status = Err(e);
-                    break;
-                }
-            }
-        }
-        self.call_stack.pop();
-        self.stack_release(callee, stack_slot);
-        if self.watchdog_armed() {
-            self.refresh_cycle_alarm();
-        }
-        self.components[slot] = Some(comp);
-
-        match self.mode {
-            IsolationMode::Unikraft | IsolationMode::Ipc(_) => {}
-            _ => {
-                self.machine.charge(cost.trampoline);
-                if self.mode.mpk_active() {
-                    self.machine.set_pkru(Pkru::allow_all());
-                    let pkru = self.pkru_for(self.current_cubicle());
-                    self.machine.set_pkru(pkru);
-                }
-            }
-        }
-        (values, status)
     }
 
     /// Runs `f` in the execution context of `cid`, as if code inside that
@@ -2694,10 +2557,12 @@ impl System {
     }
 
     /// Enables or disables cross-call batching. This is a *gate*, not a
-    /// behaviour switch: components query [`System::batching_enabled`]
-    /// and choose between their vectored ([`System::cross_call_batch`])
-    /// and legacy per-call paths, so with the gate off (the default)
-    /// every simulated cycle is identical to the pre-batching kernel.
+    /// behaviour switch: the kernel has one crossing path whatever the
+    /// gate says. Components query [`System::batching_enabled`] and
+    /// choose between their vectored ([`System::cross_call_batch`]) and
+    /// per-call ([`System::cross_call`]) paths, so with the gate off
+    /// (the default) every dispatch has one element and every simulated
+    /// cycle is identical to the pre-batching kernel.
     pub fn set_cross_call_batching(&mut self, enabled: bool) {
         self.batching = enabled;
     }
@@ -3126,15 +2991,7 @@ impl System {
     /// [`CubicleError::WindowDenied`] when the monitor refuses the access,
     /// [`CubicleError::MachineFault`] for unmapped/invalid memory.
     pub fn read(&mut self, addr: VAddr, buf: &mut [u8]) -> Result<()> {
-        self.watchdog_check()?;
-        let budget = buf.len() / PAGE_SIZE + 3;
-        for _ in 0..budget {
-            match self.machine.read(addr, buf) {
-                Ok(()) => return Ok(()),
-                Err(fault) => self.resolve_fault(fault)?,
-            }
-        }
-        unreachable!("trap-and-map retags a page per retry; budget suffices")
+        self.retry_faults(buf.len() / PAGE_SIZE + 3, |m| m.read(addr, buf))
     }
 
     /// Writes `data` at `addr` with the current cubicle's privileges.
@@ -3143,15 +3000,7 @@ impl System {
     ///
     /// As [`System::read`].
     pub fn write(&mut self, addr: VAddr, data: &[u8]) -> Result<()> {
-        self.watchdog_check()?;
-        let budget = data.len() / PAGE_SIZE + 3;
-        for _ in 0..budget {
-            match self.machine.write(addr, data) {
-                Ok(()) => return Ok(()),
-                Err(fault) => self.resolve_fault(fault)?,
-            }
-        }
-        unreachable!("trap-and-map retags a page per retry; budget suffices")
+        self.retry_faults(data.len() / PAGE_SIZE + 3, |m| m.write(addr, data))
     }
 
     /// Reads `len` bytes into a fresh vector.
@@ -3209,14 +3058,25 @@ impl System {
         out
     }
 
-    /// Trap-and-map retry loop shared by the appending read paths.
+    /// The checked read shared by the appending read paths.
     fn read_append(&mut self, addr: VAddr, len: usize, out: &mut Vec<u8>) -> Result<()> {
+        // A faulted append leaves `out` untouched, so retrying is safe.
+        self.retry_faults(len / PAGE_SIZE + 3, |m| m.read_append(addr, len, out))
+    }
+
+    /// The trap-and-map retry loop behind every checked access: polls the
+    /// watchdog, then runs `access` up to `budget` times, resolving the
+    /// fault between attempts.
+    #[inline]
+    fn retry_faults<T>(
+        &mut self,
+        budget: usize,
+        mut access: impl FnMut(&mut Machine) -> std::result::Result<T, Fault>,
+    ) -> Result<T> {
         self.watchdog_check()?;
-        let budget = len / PAGE_SIZE + 3;
         for _ in 0..budget {
-            // A faulted append leaves `out` untouched, so retrying is safe.
-            match self.machine.read_append(addr, len, out) {
-                Ok(()) => return Ok(()),
+            match access(&mut self.machine) {
+                Ok(v) => return Ok(v),
                 Err(fault) => self.resolve_fault(fault)?,
             }
         }
@@ -3229,14 +3089,7 @@ impl System {
     ///
     /// As [`System::read`].
     pub fn read_u64(&mut self, addr: VAddr) -> Result<u64> {
-        self.watchdog_check()?;
-        for _ in 0..3 {
-            match self.machine.read_u64(addr) {
-                Ok(v) => return Ok(v),
-                Err(fault) => self.resolve_fault(fault)?,
-            }
-        }
-        unreachable!("trap-and-map retags a page per retry; budget suffices")
+        self.retry_faults(3, |m| m.read_u64(addr))
     }
 
     /// Writes a little-endian `u64`.
@@ -3245,14 +3098,7 @@ impl System {
     ///
     /// As [`System::write`].
     pub fn write_u64(&mut self, addr: VAddr, v: u64) -> Result<()> {
-        self.watchdog_check()?;
-        for _ in 0..3 {
-            match self.machine.write_u64(addr, v) {
-                Ok(()) => return Ok(()),
-                Err(fault) => self.resolve_fault(fault)?,
-            }
-        }
-        unreachable!("trap-and-map retags a page per retry; budget suffices")
+        self.retry_faults(3, |m| m.write_u64(addr, v))
     }
 
     /// Reads a little-endian `u32`.
@@ -3261,14 +3107,7 @@ impl System {
     ///
     /// As [`System::read`].
     pub fn read_u32(&mut self, addr: VAddr) -> Result<u32> {
-        self.watchdog_check()?;
-        for _ in 0..3 {
-            match self.machine.read_u32(addr) {
-                Ok(v) => return Ok(v),
-                Err(fault) => self.resolve_fault(fault)?,
-            }
-        }
-        unreachable!("trap-and-map retags a page per retry; budget suffices")
+        self.retry_faults(3, |m| m.read_u32(addr))
     }
 
     /// Writes a little-endian `u32`.
@@ -3277,14 +3116,7 @@ impl System {
     ///
     /// As [`System::write`].
     pub fn write_u32(&mut self, addr: VAddr, v: u32) -> Result<()> {
-        self.watchdog_check()?;
-        for _ in 0..3 {
-            match self.machine.write_u32(addr, v) {
-                Ok(()) => return Ok(()),
-                Err(fault) => self.resolve_fault(fault)?,
-            }
-        }
-        unreachable!("trap-and-map retags a page per retry; budget suffices")
+        self.retry_faults(3, |m| m.write_u32(addr, v))
     }
 
     /// Copies `len` bytes from `src` to `dst` (both in simulated memory),

@@ -296,6 +296,46 @@ fn reentrant_cross_call_rejected() {
 }
 
 #[test]
+fn refused_reentry_restores_the_callers_pkru() {
+    // A → B → A across cubicles: the re-entry is refused, and B, which
+    // made it, resumes under its own PKRU and can read its own heap.
+    for batched in [0, 1] {
+        let builder = Builder::new();
+        let a_img = ComponentImage::new("A", CodeImage::plain(128)).export(
+            builder.export("long a_entry(long batched)").unwrap(),
+            |sys, _this, args| sys.call("b_entry", args),
+        );
+        let b_img = ComponentImage::new("B", CodeImage::plain(128))
+            .heap_pages(2)
+            .export(
+                builder.export("long b_entry(long batched)").unwrap(),
+                |sys, _this, args| {
+                    let buf = sys.heap_alloc(64, 8)?;
+                    sys.write_u64(buf, 0xB0B)?;
+                    let a_entry = sys.entry("a_entry")?;
+                    let reentry = if args[0].as_i64() == 0 {
+                        sys.cross_call(a_entry, args)
+                    } else {
+                        sys.cross_call_batch(a_entry, &[args])
+                            .map(|mut v| v.remove(0))
+                    };
+                    assert!(
+                        matches!(reentry, Err(CubicleError::ReentrantCall(_))),
+                        "re-entry must be refused, got {reentry:?}"
+                    );
+                    Ok(Value::I64(sys.read_u64(buf)? as i64))
+                },
+            );
+        let mut sys = System::new(IsolationMode::Full);
+        sys.load(a_img, Box::new(Dummy)).unwrap();
+        sys.load(b_img, Box::new(Dummy)).unwrap();
+        let r = sys.call("a_entry", &[Value::I64(batched)]);
+        assert_eq!(r.unwrap().as_i64(), 0xB0B, "batched={batched}");
+        sys.audit().assert_clean("after the refused re-entry");
+    }
+}
+
+#[test]
 fn callee_runs_with_its_own_privileges() {
     // While B executes, it cannot read A's memory even though A called it.
     let builder = Builder::new();

@@ -7,7 +7,8 @@
 //! crossing over N elements).
 
 use cubicle_core::{
-    impl_component, Builder, ComponentImage, CubicleError, CubicleId, IsolationMode, System, Value,
+    impl_component, Builder, ComponentImage, CubicleError, CubicleId, IpcCostModel, IsolationMode,
+    System, Value,
 };
 use cubicle_mpk::insn::CodeImage;
 use cubicle_mpk::rng::Rng64;
@@ -22,8 +23,14 @@ const WILD: VAddr = VAddr::new(0x0FFF_0000);
 const MAX_ELEMS: usize = 12;
 
 fn boot() -> (System, CubicleId, CubicleId) {
+    boot_in(IsolationMode::Full, false)
+}
+
+/// Boots A and B under `mode`; `merged` loads B into A's cubicle, so
+/// A's calls to B are direct (Fig. 9a).
+fn boot_in(mode: IsolationMode, merged: bool) -> (System, CubicleId, CubicleId) {
     let b = Builder::new();
-    let mut sys = System::new(IsolationMode::Full);
+    let mut sys = System::new(mode);
     sys.set_fault_containment(true);
     let a = sys
         .load(
@@ -31,23 +38,24 @@ fn boot() -> (System, CubicleId, CubicleId) {
             Box::new(Dummy),
         )
         .unwrap();
-    let bee = sys
-        .load(
-            ComponentImage::new("B", CodeImage::plain(256)).export(
-                b.export("long b_op(const void *buf, size_t n, uint64_t fault)")
-                    .unwrap(),
-                |sys, _this, args| {
-                    if args[1].as_u64() != 0 {
-                        sys.read_vec(WILD, 8)?; // injected wild access
-                    }
-                    let (addr, len) = args[0].as_buf();
-                    let v = sys.read_vec(addr, len)?;
-                    Ok(Value::I64(i64::from(v[0]) * 3 + len as i64))
-                },
-            ),
-            Box::new(Dummy),
-        )
-        .unwrap();
+    let image = ComponentImage::new("B", CodeImage::plain(256)).export(
+        b.export("long b_op(const void *buf, size_t n, uint64_t fault)")
+            .unwrap(),
+        |sys, _this, args| {
+            if args[1].as_u64() != 0 {
+                sys.read_vec(WILD, 8)?; // injected wild access
+            }
+            let (addr, len) = args[0].as_buf();
+            let v = sys.read_vec(addr, len)?;
+            Ok(Value::I64(i64::from(v[0]) * 3 + len as i64))
+        },
+    );
+    let bee = if merged {
+        sys.load_into(image, Box::new(Dummy), a.cid)
+    } else {
+        sys.load(image, Box::new(Dummy))
+    }
+    .unwrap();
     (sys, a.cid, bee.cid)
 }
 
@@ -177,34 +185,50 @@ fn batched_equals_unbatched_over_seeded_workloads() {
 
 #[test]
 fn one_element_batch_costs_exactly_one_cross_call() {
+    // Simulated cycles and return values must be identical: the batch
+    // protocol adds nothing over `cross_call` for a single element, in
+    // every isolation mode and for merged components.
+    let ipc = IsolationMode::Ipc(IpcCostModel {
+        kernel: "seL4",
+        fixed: 2_000,
+        per_byte: 3,
+        packet_bytes: 0,
+    });
+    let modes = [
+        IsolationMode::Unikraft,
+        IsolationMode::NoMpk,
+        IsolationMode::NoAcl,
+        IsolationMode::Full,
+        ipc,
+    ];
     let plan = Plan {
         payload: vec![42],
         fault_at: None,
     };
-    // Simulated cycles must be identical: the batch protocol adds
-    // nothing over `cross_call` for a single element.
-    let (mut sys_u, a, _b) = boot();
-    let entry = sys_u.entry("b_op").unwrap();
-    let bufs = stage(&mut sys_u, a, _b, &plan);
-    let c0 = sys_u.now();
-    sys_u
-        .run_in_cubicle(a, |sys| {
-            sys.cross_call(entry, &[Value::buf_in(bufs[0], 64), Value::U64(0)])
-        })
-        .unwrap();
-    let unbatched_cycles = sys_u.now() - c0;
-
-    let (mut sys_b, a, _b) = boot();
-    sys_b.set_cross_call_batching(true);
-    let entry = sys_b.entry("b_op").unwrap();
-    let bufs = stage(&mut sys_b, a, _b, &plan);
-    let c0 = sys_b.now();
-    sys_b
-        .run_in_cubicle(a, |sys| {
-            sys.cross_call_batch(entry, &[&[Value::buf_in(bufs[0], 64), Value::U64(0)]])
-        })
-        .unwrap();
-    let batched_cycles = sys_b.now() - c0;
-
-    assert_eq!(batched_cycles, unbatched_cycles);
+    for mode in modes {
+        for merged in [false, true] {
+            let run = |batched: bool| {
+                let (mut sys, a, b) = boot_in(mode, merged);
+                sys.set_cross_call_batching(batched);
+                let entry = sys.entry("b_op").unwrap();
+                let bufs = stage(&mut sys, a, b, &plan);
+                let args = [Value::buf_in(bufs[0], 64), Value::U64(0)];
+                let c0 = sys.now();
+                let v = sys
+                    .run_in_cubicle(a, |sys| {
+                        if batched {
+                            sys.cross_call_batch(entry, &[&args])
+                                .map(|mut v| v.remove(0))
+                        } else {
+                            sys.cross_call(entry, &args)
+                        }
+                    })
+                    .unwrap();
+                (sys.now() - c0, v.as_i64())
+            };
+            let (batched, unbatched) = (run(true), run(false));
+            assert_eq!(batched, unbatched, "{mode:?}, merged: {merged}");
+            assert_eq!(unbatched.1, 42 * 3 + 64, "{mode:?}, merged: {merged}");
+        }
+    }
 }

@@ -40,6 +40,21 @@ fn setup() -> (System, CubicleId, CubicleId) {
                     },
                 )
                 .export(
+                    b.export("long spin_swallow(void)").unwrap(),
+                    |sys, _this, _| {
+                        let buf = sys.heap_alloc(64, 8)?;
+                        sys.write_u64(buf, 1)?;
+                        // A runaway loop that swallows the watchdog's
+                        // error and reports success.
+                        for _ in 0..100_000 {
+                            if sys.read_u64(buf).is_err() {
+                                break;
+                            }
+                        }
+                        Ok(Value::I64(0))
+                    },
+                )
+                .export(
                     b.export("long spin_quick(void)").unwrap(),
                     |sys, _this, _| {
                         let buf = sys.heap_alloc(64, 8)?;
@@ -102,6 +117,33 @@ fn runaway_callee_times_out_and_caller_sees_etimedout() {
 
     // Kernel invariants hold after the mid-call unwind.
     assert!(sys.audit().is_clean(), "audit clean after watchdog unwind");
+}
+
+#[test]
+fn swallowed_trip_yields_etimedout_batched_and_unbatched() {
+    // The victim's `Ok` is not trusted: both call shapes report the
+    // watchdog's ETIMEDOUT, and the batch stops after the victim.
+    let (mut sys, app, spinner) = setup();
+    sys.set_fault_containment(true);
+    sys.set_cycle_budget(Some(10_000));
+    let r = sys.run_in_cubicle(app, |sys| sys.call("spin_swallow", &[]));
+    assert_eq!(r.unwrap().as_i64(), -110, "unbatched call sees ETIMEDOUT");
+
+    let (mut sys, app, _) = setup();
+    sys.set_fault_containment(true);
+    sys.set_cycle_budget(Some(10_000));
+    sys.set_cross_call_batching(true);
+    let entry = sys.entry("spin_swallow").unwrap();
+    let r = sys.run_in_cubicle(app, |sys| sys.cross_call_batch(entry, &[&[], &[]]));
+    let values: Vec<i64> = r.unwrap().iter().map(Value::as_i64).collect();
+    assert_eq!(
+        values,
+        [-110],
+        "the batch ends at the victim with ETIMEDOUT"
+    );
+    assert!(sys.cubicle(spinner).is_quarantined());
+    assert_eq!(sys.stats().watchdog_trips, 1);
+    assert!(sys.audit().is_clean(), "audit clean after the batched trip");
 }
 
 #[test]
