@@ -78,6 +78,7 @@ mod component;
 mod cubicle;
 mod errno;
 mod error;
+mod fasthash;
 mod heap;
 mod ids;
 mod ledger;
@@ -97,6 +98,7 @@ pub use component::{component_mut, Component, ComponentImage, EntryFn};
 pub use cubicle::{Cubicle, CubicleState, RegionType, StackSlot};
 pub use errno::Errno;
 pub use error::{CubicleError, Result};
+pub use fasthash::{FastBuildHasher, FastHasher};
 pub use heap::{InvalidFree, SubAllocator};
 pub use ids::{CubicleId, EntryId, WindowId};
 pub use ledger::LedgerRow;

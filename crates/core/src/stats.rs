@@ -6,6 +6,7 @@
 //! MPK and window costs. These counters provide the raw data.
 
 use crate::ids::CubicleId;
+use crate::FastBuildHasher;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -16,7 +17,7 @@ pub struct SysStats {
     /// Total cross-cubicle calls dispatched.
     pub cross_calls: u64,
     /// Calls per (caller, callee) edge.
-    pub call_edges: HashMap<(CubicleId, CubicleId), u64>,
+    pub call_edges: HashMap<(CubicleId, CubicleId), u64, FastBuildHasher>,
     /// Protection faults resolved by trap-and-map (page retagged).
     pub faults_resolved: u64,
     /// Protection faults denied (no open window).
@@ -119,7 +120,7 @@ impl SysStats {
             earlier.cross_calls <= self.cross_calls,
             "snapshot is not earlier"
         );
-        let mut edges = HashMap::new();
+        let mut edges = HashMap::default();
         // verify: order-ok — differences land in another hash map, so no
         // iteration order is observable
         for (&edge, &n) in &self.call_edges {

@@ -28,6 +28,7 @@ use crate::span::{CycleAttribution, SpanFrame, SpanProfiler, SpanRecord};
 use crate::stats::SysStats;
 use crate::trace::{FaultAudit, FaultDecision, TraceBuffer, TraceEvent, WindowOpKind};
 use crate::value::Value;
+use crate::FastBuildHasher;
 use cubicle_mpk::{
     pages_covering, AccessKind, CoreStats, CostModel, Fault, FaultKind, Machine, MachineEvent,
     MachineStats, PageFlags, PageNum, Pkru, ProtKey, VAddr, NUM_KEYS, PAGE_SIZE,
@@ -192,7 +193,7 @@ pub struct System {
     component_names: Vec<String>,
     entries: Vec<EntryDesc>,
     entry_names: HashMap<String, EntryId>,
-    pub(crate) page_meta: HashMap<PageNum, PageMeta>,
+    pub(crate) page_meta: HashMap<PageNum, PageMeta, FastBuildHasher>,
     call_stack: Vec<Frame>,
     next_page: u64,
     next_key: u8,
@@ -495,7 +496,7 @@ impl System {
             component_names: Vec::new(),
             entries: Vec::new(),
             entry_names: HashMap::new(),
-            page_meta: HashMap::new(),
+            page_meta: HashMap::default(),
             call_stack: Vec::new(),
             next_page: 16, // leave low memory (incl. page 0) unmapped
             next_key: 1,   // key 0 is the monitor's

@@ -16,7 +16,7 @@ use cubicle_core::{
 use cubicle_mpk::insn::CodeImage;
 use cubicle_mpk::VAddr;
 use cubicle_ukbase::AllocProxy;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Send-buffer capacity per connection (LWIP's `TCP_SND_BUF`).
 pub const SND_BUF: usize = 64 * 1024;
@@ -60,6 +60,24 @@ impl Tcb {
     fn send_space(&self) -> usize {
         SND_BUF.saturating_sub(self.send_queue.len() + self.inflight() as usize)
     }
+
+    /// Queued bytes or an unsent FIN: work for [`flush_tx`] once the
+    /// state and the peer's window allow it.
+    fn has_tx_work(&self) -> bool {
+        !self.send_queue.is_empty() || (self.fin_pending && !self.fin_sent)
+    }
+}
+
+/// Copies the first `n` bytes of `q` out with (at most) two slice copies,
+/// one per side of the ring's wrap point. The bytes stay queued: the
+/// caller drains them once they have been delivered.
+fn front_bytes(q: &VecDeque<u8>, n: usize) -> Vec<u8> {
+    let (head, tail) = q.as_slices();
+    let from_head = n.min(head.len());
+    let mut out = Vec::with_capacity(n);
+    out.extend_from_slice(&head[..from_head]);
+    out.extend_from_slice(&tail[..n - from_head]);
+    out
 }
 
 #[derive(Debug)]
@@ -83,6 +101,12 @@ pub struct Lwip {
     netdev: Option<NetdevProxy>,
     alloc: Option<AllocProxy>,
     sockets: Vec<Option<Socket>>,
+    /// Fds of the non-`Closed` connections per `(local, remote)` port
+    /// pair, ascending: segment demultiplexing without a table scan.
+    conns_by_ports: BTreeMap<(u16, u16), Vec<usize>>,
+    /// Fds of the connections with TX work (see [`Tcb::has_tx_work`]):
+    /// the only sockets a flush visits, in ascending fd order.
+    tx_ready: BTreeSet<usize>,
     /// Staging page for frames exchanged with `NETDEV`.
     frame_buf: VAddr,
     /// Current TX pbuf page (rotated through `ALLOC` refills).
@@ -139,11 +163,34 @@ impl Lwip {
         }
     }
 
-    fn find_conn(&mut self, local: u16, remote: u16) -> Option<usize> {
-        self.sockets.iter().position(|s| {
-            matches!(s, Some(Socket::Conn(t))
-                if t.local_port == local && t.remote_port == remote && t.state != TcpState::Closed)
-        })
+    /// The lowest fd of a non-`Closed` connection on the port pair.
+    fn find_conn(&self, local: u16, remote: u16) -> Option<usize> {
+        let fd = self
+            .conns_by_ports
+            .get(&(local, remote))
+            .and_then(|fds| fds.first().copied());
+        debug_assert_eq!(
+            fd,
+            self.sockets.iter().position(|s| {
+                matches!(s, Some(Socket::Conn(t))
+                    if t.local_port == local && t.remote_port == remote
+                        && t.state != TcpState::Closed)
+            }),
+            "port-pair index disagrees with the socket table"
+        );
+        fd
+    }
+
+    /// Drops a connection that just reached `Closed` from the port-pair
+    /// and TX indexes (`Closed` is terminal: it never sends again).
+    fn unindex_closed(&mut self, fd: usize, ports: (u16, u16)) {
+        if let Some(fds) = self.conns_by_ports.get_mut(&ports) {
+            fds.retain(|&f| f != fd);
+            if fds.is_empty() {
+                self.conns_by_ports.remove(&ports);
+            }
+        }
+        self.tx_ready.remove(&fd);
     }
 
     fn find_listener(&mut self, port: u16) -> Option<usize> {
@@ -152,14 +199,26 @@ impl Lwip {
             .position(|s| matches!(s, Some(Socket::Listener { port: p, .. }) if *p == port))
     }
 
+    /// Installs a socket in the lowest free slot; a connection is also
+    /// indexed by its port pair.
     fn alloc_fd(&mut self, s: Socket) -> i64 {
-        if let Some(i) = self.sockets.iter().position(Option::is_none) {
+        let ports = match &s {
+            Socket::Conn(tcb) => Some((tcb.local_port, tcb.remote_port)),
+            Socket::Listener { .. } => None,
+        };
+        let fd = if let Some(i) = self.sockets.iter().position(Option::is_none) {
             self.sockets[i] = Some(s);
-            i as i64
+            i
         } else {
             self.sockets.push(Some(s));
-            self.sockets.len() as i64 - 1
+            self.sockets.len() - 1
+        };
+        if let Some(ports) = ports {
+            let fds = self.conns_by_ports.entry(ports).or_default();
+            let at = fds.partition_point(|&f| f < fd);
+            fds.insert(at, fd);
         }
+        fd as i64
     }
 }
 
@@ -275,7 +334,7 @@ fn e_recv(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result<
     let fd = args[0].as_i64();
     let (buf, n) = args[1].as_buf();
     sys.charge(200);
-    let (bytes, _closed) = {
+    let bytes = {
         let st = component_mut::<Lwip>(this);
         let Some(tcb) = st.conn_mut(fd) else {
             return Ok(Value::I64(Errno::Ebadf.neg()));
@@ -286,23 +345,21 @@ fn e_recv(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result<
                 _ => Value::I64(Errno::Ewouldblock.neg()),
             });
         }
-        let take = n.min(tcb.recv_queue.len());
-        let bytes: Vec<u8> = tcb.recv_queue.drain(..take).collect();
-        (bytes, tcb.state != TcpState::Established)
+        front_bytes(&tcb.recv_queue, n.min(tcb.recv_queue.len()))
     };
-    // copy into the application's buffer (windowed)
+    // copy into the application's buffer (windowed); the bytes leave the
+    // queue only once delivered, so a denied copy loses nothing and the
+    // app can retry with a window
     match sys.write(buf, &bytes) {
-        Ok(()) => Ok(Value::I64(bytes.len() as i64)),
-        Err(cubicle_core::CubicleError::WindowDenied { .. }) => {
-            // put the bytes back so the app can retry with a window
+        Ok(()) => {
             let st = component_mut::<Lwip>(this);
-            if let Some(tcb) = st.conn_mut(fd) {
-                for b in bytes.into_iter().rev() {
-                    tcb.recv_queue.push_front(b);
-                }
-            }
-            Ok(Value::I64(Errno::Eacces.neg()))
+            st.conn_mut(fd)
+                .expect("checked above")
+                .recv_queue
+                .drain(..bytes.len());
+            Ok(Value::I64(bytes.len() as i64))
         }
+        Err(cubicle_core::CubicleError::WindowDenied { .. }) => Ok(Value::I64(Errno::Eacces.neg())),
         Err(e) => Err(e),
     }
 }
@@ -329,8 +386,11 @@ fn e_send(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result<
     // queue via a pooled scratch buffer — no allocation per segment
     let queued = sys.with_read(buf, take, |_sys, bytes| {
         let st = component_mut::<Lwip>(this);
-        let tcb = st.conn_mut(fd).expect("checked above");
-        tcb.send_queue.extend(bytes.iter().copied());
+        st.conn_mut(fd)
+            .expect("checked above")
+            .send_queue
+            .extend(bytes);
+        st.tx_ready.insert(fd as usize);
         Ok(())
     });
     match queued {
@@ -350,6 +410,9 @@ fn e_close(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result
     {
         Some(Socket::Conn(tcb)) => {
             tcb.fin_pending = true;
+            if tcb.has_tx_work() && tcb.state != TcpState::Closed {
+                st.tx_ready.insert(usize::try_from(fd).expect("checked"));
+            }
             Ok(Value::I64(0))
         }
         Some(Socket::Listener { .. }) => {
@@ -487,8 +550,7 @@ fn handle_segment(
                 wnd: RCV_WND,
                 payload: Vec::new(),
             };
-            let st = component_mut::<Lwip>(this);
-            st.alloc_fd(Socket::Conn(tcb));
+            component_mut::<Lwip>(this).alloc_fd(Socket::Conn(tcb));
             send_segment(sys, this, dev, frame_buf, &reply)?;
         }
         return Ok(());
@@ -530,6 +592,8 @@ fn handle_segment(
         }
         if seg.has(flags::RST) {
             tcb.state = TcpState::Closed;
+            let ports = (tcb.local_port, tcb.remote_port);
+            st.unindex_closed(idx, ports);
         }
     }
     if established_now {
@@ -635,17 +699,20 @@ fn flush_tx(
 ) -> Result<i64> {
     let batching = sys.batching_enabled();
     let mut sent = 0i64;
-    let nsockets = {
+    // Ascending fd order over the sockets with TX work only; a flush
+    // adds no socket, and only the visited one can leave the set.
+    let mut next_fd = 0;
+    while let Some(idx) = {
         let st = component_mut::<Lwip>(this);
-        st.sockets.len()
-    };
-    for idx in 0..nsockets {
+        st.tx_ready.range(next_fd..).next().copied()
+    } {
+        next_fd = idx + 1;
         let mut pending: Vec<Segment> = Vec::new();
         loop {
             let out = {
                 let st = component_mut::<Lwip>(this);
                 let Some(Socket::Conn(tcb)) = st.sockets[idx].as_mut() else {
-                    break;
+                    unreachable!("only connections have TX work")
                 };
                 if tcb.state != TcpState::Established && tcb.state != TcpState::CloseWait {
                     break;
@@ -653,7 +720,8 @@ fn flush_tx(
                 let window = tcb.peer_wnd.saturating_sub(tcb.inflight()) as usize;
                 if !tcb.send_queue.is_empty() && window > 0 {
                     let take = tcb.send_queue.len().min(MSS).min(window);
-                    let payload: Vec<u8> = tcb.send_queue.drain(..take).collect();
+                    let payload = front_bytes(&tcb.send_queue, take);
+                    tcb.send_queue.drain(..take);
                     let seg = Segment {
                         sport: tcb.local_port,
                         dport: tcb.remote_port,
@@ -702,6 +770,13 @@ fn flush_tx(
         }
         if !pending.is_empty() {
             send_segments_batched(sys, this, dev, &pending)?;
+        }
+        let st = component_mut::<Lwip>(this);
+        let Some(Socket::Conn(tcb)) = st.sockets[idx].as_ref() else {
+            unreachable!("only connections have TX work")
+        };
+        if !tcb.has_tx_work() {
+            st.tx_ready.remove(&idx);
         }
     }
     Ok(sent)
@@ -862,5 +937,75 @@ impl LwipProxy {
     /// Kernel errors from the cross-cubicle call.
     pub fn poll(&self, sys: &mut System) -> Result<i64> {
         Ok(sys.cross_call(self.poll, &[])?.as_i64())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn conn(local: u16, remote: u16) -> Socket {
+        Socket::Conn(Tcb {
+            state: TcpState::Established,
+            local_port: local,
+            remote_port: remote,
+            rcv_nxt: 0,
+            snd_nxt: ISS,
+            snd_una: ISS,
+            peer_wnd: 0,
+            send_queue: VecDeque::new(),
+            recv_queue: VecDeque::new(),
+            fin_pending: false,
+            fin_sent: false,
+        })
+    }
+
+    fn listener() -> Socket {
+        Socket::Listener {
+            port: 0,
+            backlog: VecDeque::new(),
+        }
+    }
+
+    #[test]
+    fn duplicate_live_port_pair_resolves_to_the_lowest_fd() {
+        let mut st = Lwip::default();
+        assert_eq!(st.alloc_fd(listener()), 0);
+        assert_eq!(st.alloc_fd(listener()), 1);
+        assert_eq!(st.alloc_fd(conn(80, 50_000)), 2);
+        assert_eq!(st.alloc_fd(conn(80, 50_000)), 3);
+        assert_eq!(st.alloc_fd(conn(80, 50_001)), 4);
+        assert_eq!(st.find_conn(80, 50_000), Some(2));
+        assert_eq!(st.find_conn(80, 50_001), Some(4));
+        assert_eq!(st.find_conn(80, 50_002), None);
+        assert_eq!(st.find_conn(81, 50_000), None);
+        // a closed listener's slot goes to the next socket: a connection
+        // there is now the lowest fd of its pair
+        st.sockets[1] = None;
+        assert_eq!(st.alloc_fd(conn(80, 50_000)), 1);
+        assert_eq!(st.find_conn(80, 50_000), Some(1));
+    }
+
+    #[test]
+    fn reboot_reset_clears_the_socket_indexes() {
+        let mut st = Lwip::default();
+        st.alloc_fd(conn(80, 50_000));
+        st.tx_ready.insert(0);
+        st.reboot_reset();
+        assert_eq!(st.find_conn(80, 50_000), None);
+        assert!(st.tx_ready.is_empty());
+    }
+
+    #[test]
+    fn front_bytes_spans_the_wrap_point() {
+        let mut q: VecDeque<u8> = VecDeque::with_capacity(8);
+        q.extend(&[0u8; 6]);
+        q.drain(..5);
+        q.extend(&[1, 2, 3, 4, 5, 6]);
+        assert!(!q.as_slices().1.is_empty(), "the ring wraps");
+        assert_eq!(front_bytes(&q, 0), Vec::<u8>::new());
+        assert_eq!(front_bytes(&q, 2), vec![0, 1]);
+        assert_eq!(front_bytes(&q, 7), vec![0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(q.len(), 7, "peeking leaves the bytes queued");
     }
 }

@@ -110,7 +110,7 @@ fn e_tx(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result<Va
 fn e_rx(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result<Value> {
     let (buf, cap) = args[0].as_buf();
     sys.charge(150);
-    let (slot, len) = {
+    let (slot, bytes) = {
         let dev = component_mut::<Netdev>(this);
         let Some(bytes) = dev.rx_wire.pop_front() else {
             return Ok(Value::I64(Errno::Ewouldblock.neg()));
@@ -120,20 +120,25 @@ fn e_rx(sys: &mut System, this: &mut dyn Component, args: &[Value]) -> Result<Va
             return Ok(Value::I64(Errno::Einval.neg()));
         }
         let slot = dev.slot(sys)?;
-        let len = bytes.len();
         sys.write(slot, &bytes)?; // DMA from the wire into the ring
-        dev.rx_frames += 1;
-        (slot, len)
+        (slot, bytes)
     };
     // Copy ring slot → caller buffer (windowed).
+    let len = bytes.len();
+    let dev = component_mut::<Netdev>(this);
     match cubicle_ukbase::libc::memcpy(sys, buf, slot, len) {
-        Ok(()) => {}
-        Err(cubicle_core::CubicleError::WindowDenied { .. }) => {
-            return Ok(Value::I64(Errno::Eacces.neg()))
+        Ok(()) => {
+            dev.rx_frames += 1;
+            Ok(Value::I64(len as i64))
         }
-        Err(e) => return Err(e),
+        Err(cubicle_core::CubicleError::WindowDenied { .. }) => {
+            // the frame was not delivered: back to the head of the wire
+            // queue, uncounted, for a retry into a windowed buffer
+            dev.rx_wire.push_front(bytes);
+            Ok(Value::I64(Errno::Eacces.neg()))
+        }
+        Err(e) => Err(e),
     }
-    Ok(Value::I64(len as i64))
 }
 
 /// Typed caller-side proxy for `NETDEV`.
@@ -278,6 +283,32 @@ mod tests {
             assert_eq!(sys.read_vec(b, 6).unwrap(), b"second");
             assert_eq!(proxy.rx(sys, b, 1024).unwrap(), Errno::Ewouldblock.neg());
         });
+    }
+
+    #[test]
+    fn rx_into_unwindowed_buffer_keeps_the_frame() {
+        let (mut sys, proxy, slot, app) = setup();
+        let dev_cid = proxy.cid();
+        sys.with_component_mut::<Netdev, _>(slot, |d, _| {
+            d.rx_wire.push_back(b"kept".to_vec());
+            d.rx_wire.push_back(b"next".to_vec());
+        });
+        sys.run_in_cubicle(app, |sys| {
+            let bare = sys.heap_alloc(1024, 8).unwrap(); // no window
+            assert_eq!(proxy.rx(sys, bare, 1024).unwrap(), Errno::Eacces.neg());
+            let b = sys.heap_alloc(1024, 8).unwrap();
+            let wid = sys.window_init();
+            sys.window_add(wid, b, 1024).unwrap();
+            sys.window_open(wid, dev_cid).unwrap();
+            assert_eq!(proxy.rx(sys, b, 1024).unwrap(), 4);
+            assert_eq!(sys.read_vec(b, 4).unwrap(), b"kept");
+            assert_eq!(proxy.rx(sys, b, 1024).unwrap(), 4);
+            assert_eq!(sys.read_vec(b, 4).unwrap(), b"next");
+        });
+        let frames = sys
+            .with_component_mut::<Netdev, _>(slot, |d, _| d.rx_frames)
+            .unwrap();
+        assert_eq!(frames, 2, "the denied delivery is not counted");
     }
 
     #[test]

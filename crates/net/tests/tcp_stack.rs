@@ -4,7 +4,8 @@
 use cubicle_core::{impl_component, ComponentImage, CubicleId, IsolationMode, System, WindowId};
 use cubicle_mpk::insn::CodeImage;
 use cubicle_mpk::VAddr;
-use cubicle_net::{boot_net, Lwip, NetStack, SimClient, WireModel, MSS, SND_BUF};
+use cubicle_net::frame::{flags, Segment};
+use cubicle_net::{boot_net, Lwip, NetStack, Netdev, SimClient, WireModel, MSS, SND_BUF};
 
 struct App;
 impl_component!(App);
@@ -410,4 +411,94 @@ fn interleaved_connections_keep_streams_apart() {
         got.sort();
         assert_eq!(got, vec![b"from-one".to_vec(), b"from-two".to_vec()]);
     });
+}
+
+/// Puts a peer `RST` for `peer_port → port` on the wire.
+fn inject_rst(net: &mut Net, peer_port: u16, port: u16) {
+    let rst = Segment {
+        sport: peer_port,
+        dport: port,
+        seq: 0,
+        ack: 0,
+        flags: flags::RST,
+        wnd: 0,
+        payload: Vec::new(),
+    };
+    net.sys
+        .with_component_mut::<Netdev, _>(net.stack.netdev_slot, |d, _| {
+            d.rx_wire.push_back(rst.encode())
+        })
+        .unwrap();
+}
+
+/// Handshake from a fresh client on the default port; returns the
+/// accepted fd.
+fn connect(net: &mut Net, listener: i64) -> (SimClient, i64) {
+    let (stack, app) = (net.stack, net.app);
+    let mut cl = client(net, 80);
+    cl.pump(&mut net.sys);
+    net.sys
+        .run_in_cubicle(app, |sys| stack.lwip.poll(sys).unwrap());
+    cl.pump(&mut net.sys);
+    let fd = net.sys.run_in_cubicle(app, |sys| {
+        stack.lwip.poll(sys).unwrap();
+        stack.lwip.accept(sys, listener).unwrap()
+    });
+    assert!(fd >= 0, "accept returned {fd}");
+    (cl, fd)
+}
+
+/// Sends `msg` from the client and returns what each fd in `fds` reads.
+fn deliver(net: &mut Net, cl: &mut SimClient, msg: &[u8], fds: &[i64]) -> Vec<Vec<u8>> {
+    let (stack, app) = (net.stack, net.app);
+    cl.send(msg);
+    cl.pump(&mut net.sys);
+    net.sys.run_in_cubicle(app, |sys| {
+        stack.lwip.poll(sys).unwrap();
+        let (buf, _w) = app_buffer(sys, stack.lwip.cid(), 4096);
+        fds.iter()
+            .map(|&fd| {
+                let n = stack.lwip.recv(sys, fd, buf, 4096).unwrap();
+                if n > 0 {
+                    sys.read_vec(buf, n as usize).unwrap()
+                } else {
+                    Vec::new()
+                }
+            })
+            .collect()
+    })
+}
+
+#[test]
+fn reset_connection_yields_its_port_pair_to_the_next_one() {
+    let mut net = boot(IsolationMode::Full);
+    let (stack, app) = (net.stack, net.app);
+    // the listener, plus a spare socket whose slot is freed later
+    let (listener, spare) = net.sys.run_in_cubicle(app, |sys| {
+        let fd = stack.lwip.socket(sys).unwrap();
+        stack.lwip.bind(sys, fd, 80).unwrap();
+        stack.lwip.listen(sys, fd).unwrap();
+        (fd, stack.lwip.socket(sys).unwrap())
+    });
+    let (_, old) = connect(&mut net, listener);
+    assert!(old > spare);
+
+    // the peer resets the connection; a new one on the same port pair
+    // gets a higher fd, and the pair's segments reach it, not the old one
+    inject_rst(&mut net, 49_152, 80);
+    let (mut cl, mid) = connect(&mut net, listener);
+    assert!(mid > old, "fresh slot above the reset connection");
+    let got = deliver(&mut net, &mut cl, b"to-mid", &[old, mid]);
+    assert_eq!(got, vec![b"".to_vec(), b"to-mid".to_vec()]);
+
+    // reset that one too and free the spare slot: the third connection
+    // on the pair takes the lowest fd, below both reset ones
+    inject_rst(&mut net, 49_152, 80);
+    net.sys.run_in_cubicle(app, |sys| {
+        assert_eq!(stack.lwip.close(sys, spare).unwrap(), 0);
+    });
+    let (mut cl, low) = connect(&mut net, listener);
+    assert_eq!(low, spare, "the freed slot is reused");
+    let got = deliver(&mut net, &mut cl, b"to-low", &[old, mid, low]);
+    assert_eq!(got, vec![b"".to_vec(), b"".to_vec(), b"to-low".to_vec()]);
 }

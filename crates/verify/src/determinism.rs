@@ -254,6 +254,19 @@ mod tests {
     }
 
     #[test]
+    fn fixed_key_hasher_maps_still_fire() {
+        // A fixed-key hasher makes iteration order reproducible per
+        // insertion history, not sorted: still a finding.
+        let src = "struct S { page_meta: HashMap<PageNum, PageMeta, FastBuildHasher> }\n\
+                   fn f(s: &S) { for (p, m) in &s.page_meta { emit(p, m); } }\n\
+                   fn g() { let mut edges = HashMap::default(); fill(&mut edges);\n\
+                   edges.keys().for_each(|e| emit(e)); }";
+        let f = run(src);
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert_eq!((f[0].line, f[1].line), (2, 4));
+    }
+
+    #[test]
     fn method_chain_iteration_fires() {
         let src = "struct S { m: HashMap<K, V> }\n\
                    fn f(s: &S) { s.m.keys().for_each(|k| emit(k)); }";
